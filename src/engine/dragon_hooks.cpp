@@ -30,7 +30,7 @@ PrefixId Simulator::effective_parent(const NodeState& node,
 }
 
 void Simulator::dragon_react(NodeId u, PrefixId p) {
-  NodeState& node = nodes_[u];
+  const NodeState& node = peek(u);
 
   // Code CR for p itself and for every known prefix underneath it (their
   // local parent may be p); prefix-trees are small, so a subtree sweep is
@@ -63,7 +63,7 @@ void Simulator::dragon_react(NodeId u, PrefixId p) {
 }
 
 void Simulator::dragon_update_cr(NodeId u, PrefixId q) {
-  NodeState& node = nodes_[u];
+  NodeState& node = touch(u);
   RouteEntry& entry = node.route(q);
   bool filter = false;
   const bool own_active = entry.originated && !entry.origin_paused;
@@ -100,7 +100,7 @@ void Simulator::dragon_update_cr(NodeId u, PrefixId q) {
 }
 
 void Simulator::dragon_check_ra(OriginationRecord& rec) {
-  NodeState& node = nodes_[rec.origin];
+  NodeState& node = touch(rec.origin);
   const PrefixId root_id = interner_.intern(rec.root);
   if (!node.route(root_id).originated) return;  // withdrawn meanwhile
 
@@ -257,7 +257,7 @@ void Simulator::dragon_check_reaggregation(NodeId u, PrefixId root,
   for (const auto& rec : originations_) {
     if (rec.origin == u && rec.root == root_pfx) return;
   }
-  NodeState& node = nodes_[u];
+  NodeState& node = touch(u);
   RouteEntry& entry = node.route(root);
 
   // Pieces: known prefixes under the root elected with an attribute at

@@ -6,9 +6,10 @@
 // attribute, origination state, and the DRAGON filtering flag.  Per
 // neighbour it keeps the Adj-RIB-Out (last advertised attribute) and the
 // MRAI pacing state.  All of it lives in the flat PrefixId-keyed tables of
-// engine/rib.hpp — node state deep-copies (snapshot/restore) are vector
-// copies, not tree clones.  Election logic lives here; messaging and
-// timers live in the Simulator.
+// engine/rib.hpp, so a node's deep copy is a few vector copies, not tree
+// clones.  Snapshots copy every node; a restore of the same snapshot
+// copies back only the nodes the Simulator wrote through touch() since.
+// Election logic lives here; messaging and timers live in the Simulator.
 #pragma once
 
 #include <cstdint>

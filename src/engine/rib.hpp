@@ -25,9 +25,10 @@
 //     (NodeId, Attr), sorted by neighbour id — degree is small for most
 //     ASs, and ordered iteration replaces the seed's `std::map` walk.
 //
-// Everything here is trivially deep-copyable via vector copies, which is
-// what makes Simulator::snapshot()/restore() cheap (memcpy-like instead
-// of per-node tree clones).
+// Everything here deep-copies as a few vector copies (memcpy-like
+// instead of per-node tree clones).  Simulator::snapshot() copies every
+// node's tables that way; restore() copies back only the nodes the trial
+// since the last restore touched (DESIGN.md §10).
 #pragma once
 
 #include <algorithm>

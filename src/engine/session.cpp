@@ -78,7 +78,7 @@ void Simulator::flush_rib_in_from(NodeId x, NodeId y) {
   // cleared state).
   if (config_.damping.enabled) damp_clear(x, y);
   std::vector<PrefixId> lost;
-  nodes_[x].routes.for_each_sorted(
+  touch(x).routes.for_each_sorted(
       interner_, [&](PrefixId p, RouteEntry& entry) {
         if (entry.rib_in.erase(y)) lost.push_back(p);
       });
@@ -88,7 +88,7 @@ void Simulator::flush_rib_in_from(NodeId x, NodeId y) {
 void Simulator::retain_stale(NodeId v, NodeId n) {
   NeighborIo& nio = io(v, n);
   std::size_t added = 0;
-  nodes_[v].routes.for_each_sorted(
+  peek(v).routes.for_each_sorted(
       interner_, [&](PrefixId p, const RouteEntry& entry) {
         if (entry.rib_in.contains(n) && nio.stale.insert(p)) ++added;
       });
@@ -103,7 +103,7 @@ void Simulator::retain_stale(NodeId v, NodeId n) {
 void Simulator::drop_stale(NodeId v, NodeId n) {
   const std::uint32_t slot = io_slot(v, n);
   if (slot == 0xFFFFFFFFu) return;
-  NeighborIo& nio = nodes_[v].io[slot];
+  NeighborIo& nio = touch(v).io[slot];
   if (!nio.stale.empty()) {
     g_stale_->add(-static_cast<double>(nio.stale.size()));
     nio.stale.clear();
@@ -132,14 +132,14 @@ void Simulator::sweep_stale(NodeId v, NodeId n, bool expired) {
   }
   ++nio.stale_gen;  // the window-cap timer for this cycle dies on its guard
   for (const PrefixId p : doomed) {
-    if (nodes_[v].route(p).rib_in.erase(n)) reelect_and_react(v, p);
+    if (touch(v).route(p).rib_in.erase(n)) reelect_and_react(v, p);
   }
 }
 
 void Simulator::session_refresh(NodeId x, NodeId y) {
   if (restart_deferred(x)) return;  // finish_restart() sends table + EoR
   NeighborIo& nio = io(x, y);
-  nodes_[x].routes.for_each_sorted(
+  peek(x).routes.for_each_sorted(
       interner_,
       [&nio](PrefixId p, const RouteEntry&) { nio.pending.insert(p); });
   if (nio.pending.empty()) {
@@ -345,7 +345,7 @@ void Simulator::restart_ra_recheck(NodeId n) {
   if (!config_.enable_dragon) return;
   for (OriginationRecord& rec : originations_) {
     if (rec.origin != n) continue;
-    for (const Prefix& q : rec.delegated) nodes_[n].route(interner_.intern(q));
+    for (const Prefix& q : rec.delegated) touch(n).route(interner_.intern(q));
     dragon_check_ra(rec);
   }
 }
@@ -361,7 +361,7 @@ void Simulator::abort_restart_wait(NodeId a, NodeId b) {
 }
 
 void Simulator::clear_node_state(NodeId n) {
-  NodeState& node = nodes_[n];
+  NodeState& node = touch(n);
   node.routes.for_each_sorted(interner_, [&](PrefixId p, RouteEntry& entry) {
     if (entry.fib_installed) {
       entry.fib_installed = false;
@@ -424,7 +424,7 @@ void Simulator::crash_node(NodeId n) {
     const auto nbrs = topo_.neighbors(n);
     for (std::size_t s = 0; s < nbrs.size(); ++s) {
       bump_sess_epoch(n, nbrs[s].id);
-      NeighborIo& nio = nodes_[n].io[s];
+      NeighborIo& nio = touch(n).io[s];
       nio.sess = SessionState::kDown;
       nio.probing = false;
       nio.eor_pending = false;

@@ -1,6 +1,7 @@
 #include "engine/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 
@@ -20,15 +21,23 @@ using Prefix = prefix::Prefix;
 namespace {
 constexpr const char* kNodeClassNames[3] = {"stub", "transit", "tier1"};
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+std::atomic<std::uint64_t> next_snapshot_serial{1};
 }  // namespace
 
 // The intern table is deliberately absent: it is append-only with stable
 // ids, and every engine query against it is filtered by per-node route
 // membership, so a restored trial behaves bit-identically even when the
 // table has grown since the capture (DESIGN.md §10).  Node states are flat
-// vectors all the way down (engine/rib.hpp), which makes this capture a
-// sequence of vector copies instead of per-node tree clones.
+// vectors all the way down (engine/rib.hpp), so copying one is a few
+// vector assignments.  restore() of the snapshot it last restored copies
+// back only the nodes touch()ed since; any other snapshot is copied back
+// whole.
 struct Simulator::Snapshot {
+  /// Process-unique, never 0.  Not the address: the allocator reuses a
+  /// freed snapshot's address for the next one.
+  std::uint64_t serial = 0;
+  /// The topology the nodes were captured on (compared, never read).
+  const topology::Topology* topo = nullptr;
   std::vector<NodeState> nodes;
   std::unordered_set<std::uint64_t> failed;
   std::set<topology::NodeId> down;
@@ -54,6 +63,7 @@ Simulator::Simulator(const topology::Topology& topo,
       rng_(config_.seed),
       msg_rng_(rng_.fork()),
       nodes_(topo.node_count()),
+      dirty_flag_(topo.node_count(), 0),
       nbr_index_(topo.node_count()),
       labels_(topo.node_count()),
       node_gen_(topo.node_count(), 0),
@@ -182,7 +192,7 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
       rec.attr = attr;
       rec.effective_attr = attr;
       if (offline) return;
-      RouteEntry& entry = nodes_[origin].route(pid);
+      RouteEntry& entry = touch(origin).route(pid);
       entry.originated = true;
       entry.origin_attr = attr;
       entry.origin_paused = rec.deaggregated;
@@ -191,7 +201,7 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
     }
   }
   if (!offline) {
-    RouteEntry& entry = nodes_[origin].route(pid);
+    RouteEntry& entry = touch(origin).route(pid);
     entry.originated = true;
     entry.origin_attr = attr;
     entry.origin_paused = false;
@@ -240,7 +250,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   // crashed node is dead or frozen and stays untouched.
   const bool offline = config_.session.enabled && !node_up(origin);
   if (!offline) {
-    RouteEntry& entry = nodes_[origin].route(pid);
+    RouteEntry& entry = touch(origin).route(pid);
     entry.originated = false;
     entry.origin_attr = kUnreachable;
     entry.origin_paused = false;
@@ -281,9 +291,9 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
     for (NodeId u = 0; u < nodes_.size(); ++u) {
       // A crashed node's plane is dead or frozen; restart wipes it anyway.
       if (config_.session.enabled && !node_up(u)) continue;
-      const RouteEntry* re = nodes_[u].find(pid);
+      const RouteEntry* re = peek(u).find(pid);
       if (re == nullptr || !re->originated || !re->origin_reagg) continue;
-      RouteEntry& e = nodes_[u].route(pid);
+      RouteEntry& e = touch(u).route(pid);
       e.originated = false;
       e.origin_reagg = false;
       e.origin_attr = kUnreachable;
@@ -294,7 +304,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   if (!offline) {
     for (const Prefix& f : fragments) {
       const PrefixId fid = interner_.intern(f);
-      RouteEntry& fe = nodes_[origin].route(fid);
+      RouteEntry& fe = touch(origin).route(fid);
       if (!fe.originated) continue;
       fe.originated = false;
       fe.origin_attr = kUnreachable;
@@ -350,7 +360,7 @@ void Simulator::leak_reflush(NodeId n) {
   // Every export decision of n may flip between leaked and withdrawn;
   // re-queue the whole table towards every live neighbour.
   std::vector<PrefixId> all;
-  nodes_[n].routes.for_each_sorted(
+  peek(n).routes.for_each_sorted(
       interner_, [&all](PrefixId p, const RouteEntry&) { all.push_back(p); });
   for (const PrefixId p : all) mark_pending(n, p);
 }
@@ -366,7 +376,7 @@ void Simulator::originate_rogue(const Prefix& p, NodeId origin, Attr attr) {
   }
   rogues_.insert({p, origin});
   const PrefixId pid = interner_.intern(p);
-  RouteEntry& entry = nodes_[origin].route(pid);
+  RouteEntry& entry = touch(origin).route(pid);
   entry.originated = true;
   entry.origin_attr = attr;
   entry.origin_paused = false;
@@ -377,7 +387,7 @@ void Simulator::withdraw_rogue(const Prefix& p, NodeId origin) {
   if (rogues_.erase({p, origin}) == 0) return;
   if (config_.session.enabled && !node_up(origin)) return;
   const PrefixId pid = interner_.intern(p);
-  RouteEntry& entry = nodes_[origin].route(pid);
+  RouteEntry& entry = touch(origin).route(pid);
   entry.originated = false;
   entry.origin_attr = kUnreachable;
   entry.origin_paused = false;
@@ -421,7 +431,7 @@ void Simulator::fail_link(NodeId a, NodeId b) {
   // the other.
   for (NodeId u : {a, b}) {
     const NodeId v = (u == a) ? b : a;
-    NodeState& node = nodes_[u];
+    NodeState& node = touch(u);
     NeighborIo& nio = io(u, v);
     nio.sent.clear();
     nio.pending.clear();
@@ -455,7 +465,7 @@ void Simulator::restore_link(NodeId a, NodeId b) {
   for (NodeId u : {a, b}) {
     const NodeId v = (u == a) ? b : a;
     NeighborIo& nio = io(u, v);
-    nodes_[u].routes.for_each_sorted(
+    peek(u).routes.for_each_sorted(
         interner_,
         [&nio](PrefixId p, const RouteEntry&) { nio.pending.insert(p); });
     try_flush(u, v);
@@ -667,6 +677,8 @@ std::shared_ptr<const Simulator::Snapshot> Simulator::snapshot() const {
     throw_not_quiescent("snapshot", queue_.size(), queue_.now());
   }
   auto snap = std::make_shared<Snapshot>();
+  snap->serial = next_snapshot_serial.fetch_add(1);
+  snap->topo = &topo_;
   snap->nodes = nodes_;
   snap->failed = failed_;
   snap->down = down_;
@@ -694,7 +706,26 @@ void Simulator::restore(const Snapshot& snap) {
   if (!queue_.empty()) {
     throw_not_quiescent("restore", queue_.size(), queue_.now());
   }
-  nodes_ = snap.nodes;
+  if (snap.topo != &topo_) {
+    // Another topology's node vector has the wrong size or io vectors of
+    // the wrong degree; the next io() would index out of range.
+    throw std::invalid_argument(
+        "restore: the snapshot was taken on another topology");
+  }
+  // Every node outside dirty_ already equals the last-restored snapshot's
+  // copy, so restoring that snapshot again copies back only dirty_.
+  // restored_serial_ is cleared first: a copy that throws halfway leaves
+  // the next restore a whole copy.
+  const bool dirty_only = snap.serial == restored_serial_;
+  restored_serial_ = 0;
+  if (dirty_only) {
+    for (const NodeId u : dirty_) nodes_[u] = snap.nodes[u];
+  } else {
+    nodes_ = snap.nodes;
+  }
+  restored_serial_ = snap.serial;
+  for (const NodeId u : dirty_) dirty_flag_[u] = 0;
+  dirty_.clear();
   failed_ = snap.failed;
   down_ = snap.down;
   // The epoch vectors restore as captured: the empty-queue precondition
@@ -757,7 +788,7 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
   if (config_.damping.enabled && damp_absorb(to, from, p, imported)) {
     return;  // suppressed: the release event replays the held state
   }
-  RouteEntry& entry = nodes_[to].route(p);
+  RouteEntry& entry = touch(to).route(p);
   if (imported == kUnreachable) {
     entry.rib_in.erase(from);
   } else {
@@ -783,7 +814,7 @@ bool Simulator::damp_absorb(NodeId to, NodeId from, PrefixId p,
     changed = announce != d.held_announce ||
               (announce && imported != d.held_attr);
   } else {
-    const RouteEntry* e = nodes_[to].find(p);
+    const RouteEntry* e = peek(to).find(p);
     const Attr* cur = e == nullptr ? nullptr : e->rib_in.find(from);
     changed = cur == nullptr ? announce : (!announce || imported != *cur);
   }
@@ -803,7 +834,7 @@ bool Simulator::damp_absorb(NodeId to, NodeId from, PrefixId p,
     const double penalty = d.penalty;
     c_damp_suppress_->inc();
     g_damped_->add(1.0);
-    RouteEntry& entry = nodes_[to].route(p);
+    RouteEntry& entry = touch(to).route(p);
     entry.rib_in.erase(from);
     reelect_and_react(to, p);
     schedule_damp_release(to, from, p, gen, penalty);
@@ -846,7 +877,7 @@ void Simulator::damp_release(NodeId to, NodeId from, PrefixId p,
   const Attr held = d->held_attr;
   c_damp_release_->inc();
   g_damped_->add(-1.0);
-  RouteEntry& entry = nodes_[to].route(p);
+  RouteEntry& entry = touch(to).route(p);
   if (announce) {
     entry.rib_in.set(from, held);
   } else {
@@ -867,7 +898,7 @@ void Simulator::damp_clear(NodeId u, NodeId v) {
 }
 
 void Simulator::reelect_and_react(NodeId u, PrefixId p) {
-  NodeState& node = nodes_[u];
+  NodeState& node = touch(u);
   const Attr before = node.route(p).elected;
   const bool filtered_before = node.route(p).filtered;
   node.elect(alg_, p);
@@ -922,7 +953,7 @@ void Simulator::mark_pending(NodeId u, PrefixId p) {
     if (config_.session.enabled ? !channel_up(u, v) : !link_alive(u, v)) {
       continue;
     }
-    nodes_[u].io[s].pending.insert(p);
+    touch(u).io[s].pending.insert(p);
     try_flush(u, v);
   }
 }
@@ -956,7 +987,7 @@ void Simulator::flush_now(NodeId u, NodeId v) {
       (!channel_up(u, v) || restart_deferred(u))) {
     return;  // the channel moved under a scheduled MRAI flush
   }
-  NodeState& node = nodes_[u];
+  const NodeState& node = peek(u);
   NeighborIo& nio = io(u, v);
   bool sent_any = false;
   // Batch in global prefix order — the seed's std::set<Prefix> iteration

@@ -351,14 +351,20 @@ class Simulator {
   /// restore() throw std::logic_error when the event queue is non-empty
   /// (run to quiescence first).  The error is thrown in all build types;
   /// a silent release-mode skip here corrupts every later trial.
+  ///
+  /// Each snapshot carries a process-unique serial.  Restoring the
+  /// snapshot this simulator was last restored from copies back only the
+  /// nodes changed since; any other snapshot (the first restore after
+  /// snapshot(), alternating snapshots, another simulator's) is copied
+  /// back whole, with the identical result.  A snapshot of another
+  /// topology throws std::invalid_argument (all build types) and leaves
+  /// the simulator as it was.
   struct Snapshot;
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
   void restore(const Snapshot& snap);
   void restore(const std::shared_ptr<const Snapshot>& snap);
 
  private:
-  friend struct SimulatorHooks;
-
   struct OriginationRecord {
     Prefix root;
     NodeId origin;
@@ -389,13 +395,28 @@ class Simulator {
   [[nodiscard]] algebra::LabelId label(NodeId learner, NodeId speaker) const;
   [[nodiscard]] std::uint32_t project(Attr a) const;
 
+  // --- Node state access ----------------------------------------------------
+  // The dirty-node rule: outside const members, the constructor and
+  // restore(), node state is written only through touch(), which records
+  // the node for the next restore().  Reads on mutating paths go through
+  // peek(), which cannot write.  A write that bypasses touch() survives a
+  // dirty-only restore and leaks into the next trial.
+  [[nodiscard]] NodeState& touch(NodeId u) {
+    if (dirty_flag_[u] == 0) {
+      dirty_flag_[u] = 1;
+      dirty_.push_back(u);
+    }
+    return nodes_[u];
+  }
+  [[nodiscard]] const NodeState& peek(NodeId u) const { return nodes_[u]; }
+
   // --- Neighbour IO addressing ---------------------------------------------
   // NodeState::io is a dense vector with one slot per topology neighbour
   // (adjacency order); the sorted (neighbour id -> slot) index lives here,
   // shared by every trial and never copied into snapshots.
   [[nodiscard]] std::uint32_t io_slot(NodeId u, NodeId v) const;
   [[nodiscard]] NeighborIo& io(NodeId u, NodeId v) {
-    return nodes_[u].io[io_slot(u, v)];
+    return touch(u).io[io_slot(u, v)];
   }
   [[nodiscard]] const NeighborIo& io(NodeId u, NodeId v) const {
     return nodes_[u].io[io_slot(u, v)];
@@ -529,6 +550,13 @@ class Simulator {
   /// membership (DESIGN.md §10).
   prefix::PrefixInterner interner_;
   std::vector<NodeState> nodes_;
+  /// Nodes touch()ed since the last restore, in first-touch order, and
+  /// their membership flags.
+  std::vector<NodeId> dirty_;
+  std::vector<std::uint8_t> dirty_flag_;
+  /// Serial of the snapshot nodes_ was last restored from (0: none).
+  /// Every node outside dirty_ equals that snapshot's copy.
+  std::uint64_t restored_serial_ = 0;
   /// Per-node (neighbour id -> io slot) indices, sorted by neighbour id.
   std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> nbr_index_;
   /// Import labels, indexed [node][io slot] (flat mirror of the seed's

@@ -378,6 +378,43 @@ TEST(SnapshotRestore, ThrowsLoudlyWithInFlightMessages) {
   EXPECT_TRUE(sim.failed_links().empty());
 }
 
+TEST(SnapshotRestore, ThrowsOnSnapshotOfAnotherTopology) {
+  // A snapshot's node vector has its topology's size and degrees; restored
+  // elsewhere it would resize the node vector or index io out of range.
+  const auto fig1 = F1::topology();
+  const auto fig2 = F2::topology();
+  GrPathAlgebra alg;
+  Simulator on_fig1(fig1, alg, bgp_config());
+  Simulator on_fig2(fig2, alg, bgp_config());
+  on_fig1.originate(bp("10"), F1::origin_p, kCust);
+  on_fig2.originate(bp("10"), F2::origin_p, kCust);
+  quiesce(on_fig1);
+  quiesce(on_fig2);
+  const auto snap1 = on_fig1.snapshot();
+  const auto links2 = on_fig2.forwarding_links();
+  EXPECT_THROW(on_fig2.restore(snap1), std::invalid_argument);
+  // The refused restore left the simulator as it was, and usable.
+  EXPECT_EQ(on_fig2.forwarding_links(), links2);
+  on_fig2.restore(on_fig2.snapshot());
+  EXPECT_EQ(on_fig2.forwarding_links(), links2);
+
+  // The check is identity: a copy of the same graph is another topology.
+  const auto fig1_copy = F1::topology();
+  Simulator on_copy(fig1_copy, alg, bgp_config());
+  EXPECT_THROW(on_copy.restore(snap1), std::invalid_argument);
+
+  // Another simulator on the same topology object restores it.  It
+  // originated the same prefix first, so its interned ids agree.
+  Simulator twin(fig1, alg, bgp_config());
+  twin.originate(bp("10"), F1::origin_p, kCust);
+  quiesce(twin);
+  twin.fail_link(F1::u2, F1::u4);
+  quiesce(twin);
+  twin.restore(snap1);
+  EXPECT_TRUE(twin.failed_links().empty());
+  EXPECT_EQ(twin.forwarding_links(), on_fig1.forwarding_links());
+}
+
 TEST(SnapshotRestore, RestoreThenFailLinkTrialsReplayExactly) {
   // Regression for repeated failure trials under message faults: restore
   // must rewind the fault RNG stream and sequence counter too, or the
