@@ -24,7 +24,10 @@ struct AggregationPrefix {
   prefix::Prefix aggregate;
   /// Indices into the assignment of the parentless prefixes it covers.
   std::vector<std::int32_t> covered;
-  /// ASs that originate the aggregate (anycast set); non-empty.
+  /// ASs that originate the aggregate (anycast set, no repeats).  Empty
+  /// only when each AS electing customer routes for every covered prefix
+  /// is a strict provider-ancestor of another, which takes a
+  /// customer-provider cycle.
   std::vector<topology::NodeId> originators;
 };
 

@@ -1,15 +1,18 @@
 #include "dragon/efficiency.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "prefix/prefix_forest.hpp"
 #include "routecomp/gr_sweep.hpp"
+#include "topology/cleaner.hpp"
 
 namespace dragon::core {
 
 using routecomp::GrStableState;
 using routecomp::kUnreachableClass;
+using routecomp::RegionNode;
 using topology::NodeId;
 
 namespace {
@@ -59,6 +62,140 @@ struct PairKeyHash {
         (static_cast<std::uint64_t>(k.q_origin) << 32) | k.parent_key);
   }
 };
+
+/// Distinct (child origin, parent) pairs with their weights, sorted by
+/// parent key, then child origin.
+using WeightedPairs = std::vector<std::pair<PairKey, std::uint32_t>>;
+
+/// True when every node elects a route for every non-empty origin set:
+/// the roots peer pairwise and every node descends from a root.  An
+/// origin's upset then holds a root, every other root learns a peer route
+/// from it, and provider routes flow down to every node.
+/// is_policy_connected alone is not enough: it also holds beside a
+/// rootless customer-provider cycle, whose nodes no outside origin
+/// reaches.  O(V + E).
+bool every_node_routed(const topology::Topology& topo) {
+  if (!topology::is_policy_connected(topo)) return false;
+  std::vector<char> reached(topo.node_count(), 0);
+  std::vector<NodeId> stack = topo.roots();
+  for (NodeId r : stack) reached[r] = 1;
+  std::size_t count = stack.size();
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    for (const auto& nb : topo.neighbors(u)) {
+      if (nb.rel != topology::Rel::kCustomer || reached[nb.id]) continue;
+      reached[nb.id] = 1;
+      ++count;
+      stack.push_back(nb.id);
+    }
+  }
+  return count == topo.node_count();
+}
+
+/// Dense path, any slack and any topology: each pair compares a child
+/// sweep with a parent sweep at all n nodes.
+void add_forgone_dense(const topology::Topology& topo,
+                       const WeightedPairs& pairs,
+                       const std::vector<AggregationPrefix>& aggregates,
+                       int slack_x, std::vector<std::int64_t>& forgone) {
+  const std::size_t n = topo.node_count();
+  SweepCache cache(topo, 512);
+  GrStableState agg_state;
+  std::uint32_t agg_state_key = 0xFFFFFFFFu;
+  for (const auto& [key, count] : pairs) {
+    // Copied, not referenced: the parent lookup below may evict the cache.
+    const GrStableState sq = cache.single(key.q_origin);
+    const GrStableState* sp = nullptr;
+    const std::vector<NodeId>* excluded = nullptr;
+    std::vector<NodeId> single_exclusion;
+    if (key.parent_key < n) {
+      sp = &cache.single(key.parent_key);
+      single_exclusion = {key.parent_key};
+      excluded = &single_exclusion;
+    } else {
+      const auto agg_id = key.parent_key - static_cast<std::uint32_t>(n);
+      if (agg_state_key != key.parent_key) {
+        agg_state = routecomp::gr_sweep_multi(
+            topo, aggregates[agg_id].originators, nullptr);
+        agg_state_key = key.parent_key;
+      }
+      sp = &agg_state;
+      excluded = &aggregates[agg_id].originators;
+    }
+    for (NodeId u = 0; u < n; ++u) {
+      if (!cr_premise(sq, *sp, u, slack_x)) continue;
+      if (std::find(excluded->begin(), excluded->end(), u) !=
+          excluded->end()) {
+        continue;
+      }
+      forgone[u] += count;
+    }
+  }
+}
+
+/// Sparse path: X = infinity on a topology where every_node_routed holds.
+/// No class is then unreachable, so the premise fails exactly where the
+/// child's class beats the parent's.  Only customer and peer beat
+/// anything, so such nodes lie in the child origin's region.  Each pair
+/// is therefore forgone by every node (the returned weight) minus once at
+/// each parent originator (a set) and at each node of the child's region
+/// whose class beats the parent's (subtracted from `forgone`).  A parent
+/// originator holds a customer route, which no class beats, so no node is
+/// subtracted twice.  Each origin's region is built once; the parent's is
+/// stamped into an n-byte class array once per parent key.
+std::uint64_t add_forgone_sparse(
+    const topology::Topology& topo, const WeightedPairs& pairs,
+    const std::vector<AggregationPrefix>& aggregates,
+    std::vector<std::int64_t>& forgone) {
+  const std::size_t n = topo.node_count();
+  routecomp::GrRegionBuilder builder(topo);
+  // A region holds at least its origin, so empty means "not built yet".
+  std::vector<std::vector<RegionNode>> origin_region(n);
+  const auto region_of = [&](NodeId o) -> const std::vector<RegionNode>& {
+    if (origin_region[o].empty()) {
+      origin_region[o] = builder.build(std::span<const NodeId>(&o, 1));
+    }
+    return origin_region[o];
+  };
+
+  std::vector<std::uint8_t> parent_cls(n, routecomp::kProvider);
+  NodeId parent_origin = 0;
+  std::span<const NodeId> originators;
+  std::vector<RegionNode> agg_region;
+  const std::vector<RegionNode>* parent_region = nullptr;
+  std::uint32_t stamped_key = 0xFFFFFFFFu;
+  std::uint64_t everywhere = 0;
+  for (const auto& [key, count] : pairs) {
+    if (key.parent_key != stamped_key) {
+      if (parent_region != nullptr) {
+        for (const RegionNode& r : *parent_region) {
+          parent_cls[r.id] = routecomp::kProvider;
+        }
+      }
+      if (key.parent_key < n) {
+        parent_origin = key.parent_key;
+        originators = std::span<const NodeId>(&parent_origin, 1);
+        parent_region = &region_of(parent_origin);
+      } else {
+        originators = aggregates[key.parent_key - n].originators;
+        agg_region = builder.build(originators);
+        parent_region = &agg_region;
+      }
+      for (const RegionNode& r : *parent_region) parent_cls[r.id] = r.cls;
+      stamped_key = key.parent_key;
+    }
+    // No originator means no parent route anywhere: the premise fails at
+    // every node, as on the dense path.
+    if (originators.empty()) continue;
+    everywhere += count;
+    for (NodeId o : originators) forgone[o] -= count;
+    for (const RegionNode& r : region_of(key.q_origin)) {
+      if (r.cls < parent_cls[r.id]) forgone[r.id] -= count;
+    }
+  }
+  return everywhere;
+}
 
 }  // namespace
 
@@ -123,10 +260,9 @@ EfficiencyResult dragon_efficiency(const topology::Topology& topo,
     }
   }
 
-  // Deterministic processing order, grouped by parent to maximise cache
-  // hits on the parent sweep.
-  std::vector<std::pair<PairKey, std::uint32_t>> pairs(distinct.begin(),
-                                                       distinct.end());
+  // Deterministic processing order, grouped by parent: the dense path
+  // reuses the parent's sweep, the sparse path stamps its region once.
+  WeightedPairs pairs(distinct.begin(), distinct.end());
   std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
     if (a.first.parent_key != b.first.parent_key) {
       return a.first.parent_key < b.first.parent_key;
@@ -134,37 +270,10 @@ EfficiencyResult dragon_efficiency(const topology::Topology& topo,
     return a.first.q_origin < b.first.q_origin;
   });
 
-  SweepCache cache(topo, 512);
-  GrStableState agg_state;
-  std::uint32_t agg_state_key = 0xFFFFFFFFu;
-  for (const auto& [key, count] : pairs) {
-    // Copied, not referenced: the parent lookup below may evict the cache.
-    const GrStableState sq = cache.single(key.q_origin);
-    const GrStableState* sp = nullptr;
-    const std::vector<NodeId>* excluded = nullptr;
-    std::vector<NodeId> single_exclusion;
-    if (key.parent_key < n) {
-      sp = &cache.single(key.parent_key);
-      single_exclusion = {key.parent_key};
-      excluded = &single_exclusion;
-    } else {
-      const auto agg_id = key.parent_key - static_cast<std::uint32_t>(n);
-      if (agg_state_key != key.parent_key) {
-        agg_state = routecomp::gr_sweep_multi(
-            topo, aggregates[agg_id].originators, nullptr);
-        agg_state_key = key.parent_key;
-      }
-      sp = &agg_state;
-      excluded = &aggregates[agg_id].originators;
-    }
-    for (NodeId u = 0; u < n; ++u) {
-      if (!cr_premise(sq, *sp, u, options.slack_x)) continue;
-      if (std::find(excluded->begin(), excluded->end(), u) !=
-          excluded->end()) {
-        continue;
-      }
-      forgone[u] += count;
-    }
+  if (options.slack_x < 0 && every_node_routed(topo)) {
+    universal_pairs += add_forgone_sparse(topo, pairs, aggregates, forgone);
+  } else {
+    add_forgone_dense(topo, pairs, aggregates, options.slack_x, forgone);
   }
 
   // Assemble per-AS tables.

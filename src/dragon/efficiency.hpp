@@ -9,12 +9,35 @@
 // forgo set for a prefix q with parent p is
 //     E = { u != origin(p) : R[u;q] equals or is less preferred than R[u;p] }
 // evaluated on the *standard* (unfiltered) stable state, which for GR is a
-// pure function of the two origins (gr_sweep).  Two big shortcuts make the
-// full-Internet run cheap:
+// pure function of the two origin sets.  Shortcuts:
 //   * 83% of child prefixes share their parent's origin (§5.2); the two
-//     sweeps are then identical and E is "everyone but the origin";
-//   * distinct (child-origin, parent-origin) pairs repeat massively, so
-//     per-node comparisons are done once per distinct pair, weighted.
+//     states are then identical and E is "everyone but the origin";
+//   * distinct (child-origin, parent) pairs repeat massively, so each is
+//     evaluated once and weighted by its count.
+//
+// Each distinct pair takes one of two paths.
+//   * Sparse (slack_x < 0, i.e. X = infinity, the paper's setting): the
+//     premise reads GR classes only, and an origin set's classes differ
+//     from "provider" only on its region (routecomp::GrRegionBuilder):
+//     the origins' upset (customer) and that upset's peers (peer), tens
+//     of nodes.  When every node elects a route for every origin, the
+//     premise fails exactly at the nodes of the child's region whose
+//     class beats the parent's, so a pair costs O(child's region): it is
+//     forgone everywhere except at the parent's originators and those
+//     nodes.  No dense sweep is built.
+//   * Dense: one n-node sweep per origin and per aggregate, and the
+//     premise compared at all n nodes.  It serves X >= 0 (the slack
+//     ablation reads AS-path lengths) and every input that fails the
+//     reachability check below, and it is the tests' oracle: slack_x =
+//     65535 means X = infinity (no AS path is longer) on this path.
+// Every node elects a route for every origin when the hierarchy's roots
+// peer pairwise (topology::is_policy_connected) and every node descends
+// from a root; dragon_efficiency checks both in O(V + E) per call.  The
+// second condition matters: is_policy_connected also holds beside a
+// rootless customer-provider cycle, whose nodes no outside origin
+// reaches, and there the dense path keeps their entries.  Only slack_x
+// and the input choose the path; both give identical results wherever
+// the sparse path applies.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +73,9 @@ struct EfficiencyResult {
   double max_efficiency = 0.0;
 };
 
-/// Computes per-AS DRAGON filtering efficiency on a GR topology.  The
-/// topology must be policy-connected (every prefix reaches every AS).
+/// Computes per-AS DRAGON filtering efficiency on a GR topology.  Nodes
+/// without a route to a parent keep its children (the premise needs a
+/// parent route to fall back on).
 [[nodiscard]] EfficiencyResult dragon_efficiency(
     const topology::Topology& topo, const addressing::Assignment& assignment,
     const EfficiencyOptions& options = {});

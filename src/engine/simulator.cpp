@@ -38,6 +38,11 @@ struct Simulator::Snapshot {
   std::uint64_t serial = 0;
   /// The topology the nodes were captured on (compared, never read).
   const topology::Topology* topo = nullptr;
+  /// The interner's size and fingerprint at capture: the node state holds
+  /// PrefixIds, which mean these prefixes only in an interner that holds
+  /// them at the same ids.
+  std::size_t interned = 0;
+  std::uint64_t interner_fingerprint = 0;
   std::vector<NodeState> nodes;
   std::unordered_set<std::uint64_t> failed;
   std::set<topology::NodeId> down;
@@ -679,6 +684,8 @@ std::shared_ptr<const Simulator::Snapshot> Simulator::snapshot() const {
   auto snap = std::make_shared<Snapshot>();
   snap->serial = next_snapshot_serial.fetch_add(1);
   snap->topo = &topo_;
+  snap->interned = interner_.size();
+  snap->interner_fingerprint = interner_.fingerprint(snap->interned);
   snap->nodes = nodes_;
   snap->failed = failed_;
   snap->down = down_;
@@ -711,6 +718,14 @@ void Simulator::restore(const Snapshot& snap) {
     // the wrong degree; the next io() would index out of range.
     throw std::invalid_argument(
         "restore: the snapshot was taken on another topology");
+  }
+  // The interner may have grown since (a trial's de-aggregation interns
+  // fragments), but its first snap.interned ids must be the snapshot's;
+  // otherwise its PrefixIds name other prefixes or index past the end.
+  if (snap.interned > interner_.size() ||
+      interner_.fingerprint(snap.interned) != snap.interner_fingerprint) {
+    throw std::invalid_argument(
+        "restore: the snapshot's prefix ids mean other prefixes here");
   }
   // Every node outside dirty_ already equals the last-restored snapshot's
   // copy, so restoring that snapshot again copies back only dirty_.

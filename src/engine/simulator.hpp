@@ -357,8 +357,9 @@ class Simulator {
   /// nodes changed since; any other snapshot (the first restore after
   /// snapshot(), alternating snapshots, another simulator's) is copied
   /// back whole, with the identical result.  A snapshot of another
-  /// topology throws std::invalid_argument (all build types) and leaves
-  /// the simulator as it was.
+  /// topology, or one whose interned prefixes this simulator does not hold
+  /// at the same ids (it may hold more), throws std::invalid_argument (all
+  /// build types) and leaves the simulator as it was.
   struct Snapshot;
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
   void restore(const Snapshot& snap);
@@ -545,9 +546,10 @@ class Simulator {
   /// Global monotone message sequence; see NeighborIo::rx_seq.
   std::uint64_t msg_seq_ = 0;
   /// Prefix -> dense id intern table.  Append-only with stable ids, so
-  /// snapshots skip it: per-node membership (NodeState::routes) is what
-  /// restores, and every interner query the engine makes is filtered by
-  /// membership (DESIGN.md §10).
+  /// snapshots record only its size and fingerprint, which restore()
+  /// checks: per-node membership (NodeState::routes) is what restores,
+  /// and every interner query the engine makes is filtered by membership
+  /// (DESIGN.md §10).
   prefix::PrefixInterner interner_;
   std::vector<NodeState> nodes_;
   /// Nodes touch()ed since the last restore, in first-touch order, and

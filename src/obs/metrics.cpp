@@ -155,9 +155,7 @@ MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
     gauges_ = std::move(other.gauges_);
     histograms_ = std::move(other.histograms_);
     write_epoch_ = std::move(other.write_epoch_);
-#ifndef NDEBUG
     writer_.store(0, std::memory_order_relaxed);
-#endif
   }
   return *this;
 }

@@ -213,7 +213,7 @@ class MetricsRegistry {
   bool write_json(const std::string& path) const;
 
  private:
-  /// Debug-build single-writer check; 0 = unclaimed (first mutator binds).
+  /// Debug-build single-writer check (the first mutator binds).
   void assert_writer() noexcept;
 
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
@@ -223,9 +223,11 @@ class MetricsRegistry {
   /// unique_ptr moves, the pointee address does not).
   std::unique_ptr<std::uint64_t> write_epoch_ =
       std::make_unique<std::uint64_t>(0);
-#ifndef NDEBUG
+  /// The single writer's token, 0 when unclaimed.  Declared in every
+  /// build so the object layout does not depend on NDEBUG (translation
+  /// units compiled with and without it share registries); only debug
+  /// builds check it.
   std::atomic<std::uint64_t> writer_{0};
-#endif
 };
 
 }  // namespace dragon::obs

@@ -9,6 +9,14 @@ PrefixId PrefixInterner::intern(const Prefix& p) {
   const PrefixId id = it->second;
   prefixes_.push_back(p);
   children_.emplace_back();
+  // splitmix64 finaliser over the previous value and (bits, length); the
+  // length fits six bits, so the pair maps to the key injectively.
+  std::uint64_t h = fingerprints_.back() ^
+                    ((static_cast<std::uint64_t>(p.bits()) << 6) |
+                     static_cast<std::uint64_t>(p.length()));
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  fingerprints_.push_back(h ^ (h >> 31));
 
   // Most specific interned strict ancestor.  The strict ancestors of p are
   // exactly its shorter-length truncations, so probe the index from the

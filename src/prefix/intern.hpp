@@ -18,10 +18,11 @@
 //     same order a sorted container or the seed PrefixTrie produced.
 //
 // Ids are stable for the lifetime of the interner (nothing is ever
-// erased), which is what lets engine snapshots skip it entirely: a
-// restored trial may observe a *larger* intern table than the captured
-// one, but every query the engine makes is filtered by per-node
-// membership, so behaviour is bit-identical (DESIGN.md §10).
+// erased), which is what lets engine snapshots skip it (they record only
+// its size and fingerprint()): a restored trial may observe a *larger*
+// intern table than the captured one, but every query the engine makes is
+// filtered by per-node membership, so behaviour is bit-identical
+// (DESIGN.md §10).
 //
 // Not thread-safe; each Simulator owns one (parallel trials run one
 // single-threaded Simulator per worker, DESIGN.md §8).
@@ -84,8 +85,18 @@ class PrefixInterner {
 
   [[nodiscard]] std::size_t size() const noexcept { return prefixes_.size(); }
 
+  /// Fingerprint of the first `count` ids' prefixes, in id order
+  /// (count <= size()).  Two interners that agree on it hold the same
+  /// prefixes at those ids, up to 64-bit hash collisions.  O(1): the
+  /// interner keeps one cumulative value per id.
+  [[nodiscard]] std::uint64_t fingerprint(std::size_t count) const {
+    return fingerprints_[count];
+  }
+
  private:
   std::vector<Prefix> prefixes_;   // id -> prefix
+  /// fingerprints_[k] = fingerprint(k); fingerprints_[0] is the seed.
+  std::vector<std::uint64_t> fingerprints_{0x9e3779b97f4a7c15ull};
   std::vector<PrefixId> parent_;   // id -> most specific interned ancestor
   std::vector<util::SmallVector<PrefixId, 2>> children_;  // sorted
   util::SmallVector<PrefixId, 2> roots_;                  // sorted

@@ -99,6 +99,43 @@ GrStableState gr_sweep_multi(const Topology& topo,
   return state;
 }
 
+GrRegionBuilder::GrRegionBuilder(const Topology& topo)
+    : topo_(topo), mark_(topo.node_count(), kProvider) {}
+
+std::vector<RegionNode> GrRegionBuilder::build(
+    std::span<const NodeId> origins) {
+  // Phase 1 of gr_sweep_multi without distances: the upset, by search
+  // along customer->provider links.
+  std::vector<RegionNode> region;
+  for (NodeId o : origins) {
+    if (mark_[o] == kCustomer) continue;
+    mark_[o] = kCustomer;
+    region.push_back({o, kCustomer});
+  }
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    for (const auto& nb : topo_.neighbors(region[i].id)) {
+      if (nb.rel != Rel::kProvider || mark_[nb.id] == kCustomer) continue;
+      mark_[nb.id] = kCustomer;
+      region.push_back({nb.id, kCustomer});
+    }
+  }
+  // Phase 2: the upset's peers outside it elect peer routes.
+  const std::size_t upset = region.size();
+  for (std::size_t i = 0; i < upset; ++i) {
+    for (const auto& nb : topo_.neighbors(region[i].id)) {
+      if (nb.rel != Rel::kPeer || mark_[nb.id] != kProvider) continue;
+      mark_[nb.id] = kPeer;
+      region.push_back({nb.id, kPeer});
+    }
+  }
+  for (const RegionNode& r : region) mark_[r.id] = kProvider;
+  std::sort(region.begin(), region.end(),
+            [](const RegionNode& a, const RegionNode& b) {
+              return a.id < b.id;
+            });
+  return region;
+}
+
 GrStableState gr_sweep(const Topology& topo, NodeId origin) {
   const NodeId origins[1] = {origin};
   return gr_sweep_multi(topo, origins, nullptr);

@@ -83,6 +83,34 @@ struct GrStableState {
     std::span<const topology::NodeId> origins,
     const std::vector<char>* suppressed = nullptr);
 
+/// One node of an origin set's non-provider region (see GrRegionBuilder).
+struct RegionNode {
+  topology::NodeId id;
+  std::uint8_t cls;  // kCustomer or kPeer
+  friend bool operator==(const RegionNode&, const RegionNode&) = default;
+};
+
+/// The nodes whose class in gr_sweep_multi(topo, origins) is not
+/// kProvider, without a dense sweep: the origins' upset (kCustomer: the
+/// nodes with an origin in their customer cone) and the peers of that
+/// upset outside it (kPeer).  Every other node elects a provider route,
+/// or no route when no routed node sits above it.  The builder keeps one
+/// n-entry mark array and clears only what a call marked, so a call costs
+/// O(region + its adjacency), never O(n).  Not thread-safe.
+class GrRegionBuilder {
+ public:
+  explicit GrRegionBuilder(const topology::Topology& topo);
+
+  /// The region of `origins`, sorted by node id.
+  [[nodiscard]] std::vector<RegionNode> build(
+      std::span<const topology::NodeId> origins);
+
+ private:
+  const topology::Topology& topo_;
+  /// kProvider everywhere between calls.
+  std::vector<std::uint8_t> mark_;
+};
+
 /// All forwarding neighbours of `u` for this origin: neighbours whose
 /// candidate route coincides with u's elected route (class and path
 /// length).  Empty for the origin and for unreachable nodes.

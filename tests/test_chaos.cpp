@@ -415,6 +415,53 @@ TEST(SnapshotRestore, ThrowsOnSnapshotOfAnotherTopology) {
   EXPECT_EQ(twin.forwarding_links(), on_fig1.forwarding_links());
 }
 
+TEST(SnapshotRestore, ThrowsOnSnapshotOfAnotherInterner) {
+  // Node state holds PrefixIds, which name prefixes only through the
+  // simulator's interner.  Restored into an interner with other prefixes
+  // at those ids, or fewer of them, they would name other prefixes or
+  // index past its end.
+  const auto topo = F1::topology();
+  GrPathAlgebra alg;
+  Simulator sim(topo, alg, dragon_config());
+  sim.originate(bp("10"), F1::origin_p, kCust);
+  sim.originate(bp("10000"), F1::origin_q, kCust);
+  quiesce(sim);
+  const auto snap = sim.snapshot();
+
+  // A twin on the same topology that originated a different prefix first
+  // holds the same prefixes under swapped ids.
+  Simulator swapped(topo, alg, dragon_config());
+  swapped.originate(bp("10000"), F1::origin_q, kCust);
+  swapped.originate(bp("10"), F1::origin_p, kCust);
+  quiesce(swapped);
+  const auto links = swapped.forwarding_links();
+  EXPECT_THROW(swapped.restore(snap), std::invalid_argument);
+  // The refused restore left the simulator as it was, and usable.
+  EXPECT_EQ(swapped.forwarding_links(), links);
+  swapped.restore(swapped.snapshot());
+  EXPECT_EQ(swapped.forwarding_links(), links);
+
+  // A twin that interned fewer prefixes.
+  Simulator fewer(topo, alg, dragon_config());
+  fewer.originate(bp("10"), F1::origin_p, kCust);
+  quiesce(fewer);
+  EXPECT_THROW(fewer.restore(snap), std::invalid_argument);
+
+  // A trial that de-aggregates interns fragments after the snapshot: the
+  // interner holds more prefixes, the snapshot's at their ids, and the
+  // restore goes through.
+  const auto before = sim.forwarding_links();
+  sim.fail_link(F1::u4, F1::u6);
+  quiesce(sim);
+  ASSERT_GT(sim.stats().deaggregations, 0u);
+  ASSERT_TRUE(sim.originates(F1::u4, bp("101")));
+  sim.restore(snap);
+  EXPECT_TRUE(sim.failed_links().empty());
+  EXPECT_TRUE(sim.originates(F1::u4, bp("10")));
+  EXPECT_FALSE(sim.originates(F1::u4, bp("101")));
+  EXPECT_EQ(sim.forwarding_links(), before);
+}
+
 TEST(SnapshotRestore, RestoreThenFailLinkTrialsReplayExactly) {
   // Regression for repeated failure trials under message faults: restore
   // must rewind the fault RNG stream and sequence counter too, or the

@@ -10,6 +10,7 @@
 #include "dragon/filtering.hpp"
 #include "paper_networks.hpp"
 #include "prefix/prefix_forest.hpp"
+#include "routecomp/gr_sweep.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
 
@@ -173,6 +174,126 @@ TEST_P(EfficiencyCrossCheck, ClosedFormMatchesIteratedPairRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EfficiencyCrossCheck,
                          ::testing::Values(61, 62, 63));
+
+// At X = infinity dragon_efficiency takes a sparse path when every node
+// elects a route for every origin.  slack_x = 65535 means the same (no AS
+// path is longer) but always takes the dense path, so it is the oracle.
+void expect_matches_dense_oracle(const topology::Topology& topo,
+                                 const Assignment& assignment,
+                                 bool with_aggregation) {
+  EfficiencyOptions options;
+  options.with_aggregation = with_aggregation;
+  EfficiencyOptions oracle = options;
+  oracle.slack_x = 65535;
+  const auto got = dragon_efficiency(topo, assignment, options);
+  const auto want = dragon_efficiency(topo, assignment, oracle);
+  EXPECT_EQ(got.fib_entries, want.fib_entries);
+  EXPECT_EQ(got.efficiency, want.efficiency);
+  EXPECT_EQ(got.aggregation_prefixes, want.aggregation_prefixes);
+  EXPECT_EQ(got.aggregating_ases, want.aggregating_ases);
+  EXPECT_EQ(got.max_efficiency, want.max_efficiency);
+}
+
+class SparseEfficiency : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SparseEfficiency, MatchesDenseOracle) {
+  const std::uint64_t seed = GetParam();
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 3 + static_cast<std::uint32_t>(seed % 4);
+  tparams.transit_count = 10 + static_cast<std::uint32_t>((seed * 7) % 31);
+  tparams.stub_count = 40 + static_cast<std::uint32_t>((seed * 13) % 111);
+  tparams.transit_peering_degree = 0.5 + 0.5 * static_cast<double>(seed % 6);
+  tparams.seed = seed;
+  const auto gen = topology::generate_internet(tparams);
+  // Every node routes to every origin, so the sparse path is taken.
+  const auto sweep = routecomp::gr_sweep(gen.graph, 0);
+  ASSERT_EQ(std::count(sweep.cls.begin(), sweep.cls.end(),
+                       routecomp::kUnreachableClass),
+            0);
+
+  addressing::AssignmentParams aparams;
+  aparams.seed = seed + 500;
+  aparams.max_prefixes_per_as = 12;
+  aparams.anomaly_rate = 0.1;
+  const auto raw = generate_assignment(gen, aparams);
+  const auto cleaned = addressing::clean_assignment(gen.graph, raw);
+  for (const Assignment* assignment : {&raw, &cleaned}) {
+    for (const bool with_aggregation : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (assignment == &raw ? "raw" : "cleaned")
+                   << (with_aggregation ? " agg" : " def"));
+      expect_matches_dense_oracle(gen.graph, *assignment, with_aggregation);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseEfficiency,
+                         ::testing::Range<std::uint64_t>(101, 125));
+
+TEST(SparseEfficiency, RootsThatDoNotPeerTakeTheDensePath) {
+  // Roots 0 and 1 do not peer; 3 is a customer of both, 2 of 0, 4 of 1.
+  // Node 4 has no route to p (originated by 2), so it keeps q.
+  topology::Topology topo(5);
+  topo.add_provider_customer(0, 2);
+  topo.add_provider_customer(0, 3);
+  topo.add_provider_customer(1, 3);
+  topo.add_provider_customer(1, 4);
+  Assignment assignment;
+  assignment.prefixes = {bp("10"), bp("100")};
+  assignment.origin = {2, 3};
+  const auto result = dragon_efficiency(topo, assignment, {});
+  EXPECT_EQ(result.fib_entries, (std::vector<std::uint64_t>{1, 2, 2, 2, 2}));
+  expect_matches_dense_oracle(topo, assignment, false);
+  expect_matches_dense_oracle(topo, assignment, true);
+}
+
+TEST(SparseEfficiency, RootlessCycleTakesTheDensePath) {
+  // Root 0 with customers 1 and 2, and beside it a customer-provider
+  // cycle 3 -> 4 -> 5 -> 3 with no root above it.  The roots peer
+  // pairwise (there is one), yet no origin outside the cycle reaches its
+  // nodes, so they keep both prefixes.
+  topology::Topology topo(6);
+  topo.add_provider_customer(0, 1);
+  topo.add_provider_customer(0, 2);
+  topo.add_provider_customer(4, 3);
+  topo.add_provider_customer(5, 4);
+  topo.add_provider_customer(3, 5);
+  Assignment assignment;
+  assignment.prefixes = {bp("10"), bp("100")};
+  assignment.origin = {1, 2};
+  const auto result = dragon_efficiency(topo, assignment, {});
+  EXPECT_EQ(result.fib_entries,
+            (std::vector<std::uint64_t>{1, 2, 2, 2, 2, 2}));
+  expect_matches_dense_oracle(topo, assignment, false);
+  expect_matches_dense_oracle(topo, assignment, true);
+}
+
+TEST(SparseEfficiency, AggregateWithoutOriginatorsIsForgoneNowhere) {
+  // Root 0 above a customer-provider cycle 1 -> 2 -> 3 -> 1 (each the
+  // provider of the next), with stub 4 under 2 and stub 5 under 3.  Every
+  // node descends from the root, so the sparse path applies.  The stubs'
+  // common ancestors {0, 1, 2, 3} each sit above another, so the
+  // aggregate of their PI prefixes has no minimal originator: no AS
+  // routes it, and nobody forgoes a covered prefix.
+  topology::Topology topo(6);
+  topo.add_provider_customer(0, 1);
+  topo.add_provider_customer(1, 2);
+  topo.add_provider_customer(2, 3);
+  topo.add_provider_customer(3, 1);
+  topo.add_provider_customer(2, 4);
+  topo.add_provider_customer(3, 5);
+  Assignment assignment;
+  assignment.prefixes = {bp("100"), bp("101")};
+  assignment.origin = {4, 5};
+  const auto aggs = elect_aggregation_prefixes(topo, assignment);
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_TRUE(aggs[0].originators.empty());
+  EfficiencyOptions options;
+  options.with_aggregation = true;
+  const auto result = dragon_efficiency(topo, assignment, options);
+  EXPECT_EQ(result.fib_entries, (std::vector<std::uint64_t>(6, 3)));
+  expect_matches_dense_oracle(topo, assignment, true);
+}
 
 TEST(PartialDeploymentEfficiency, NobodyDeployedMeansNoFiltering) {
   const auto topo = F1::topology();

@@ -17,6 +17,13 @@
 #include "prefix/prefix.hpp"
 
 namespace dragon::obs {
+
+namespace layout_probe {
+// Defined in metrics_layout_ndebug.cpp and metrics_layout_debug.cpp.
+std::size_t registry_size_with_ndebug();
+std::size_t registry_size_without_ndebug();
+}  // namespace layout_probe
+
 namespace {
 
 // --- Histogram bucket geometry --------------------------------------------
@@ -270,6 +277,13 @@ TEST(MetricsRegistry, SnapshotRestoreRoundTrips) {
   EXPECT_EQ(reg.find_histogram("h")->count(), 1u);
   EXPECT_EQ(reg.find_histogram("h")->max(), 100u);
   EXPECT_EQ(reg.find_counter("late")->value(), 0u);  // reset to zero
+}
+
+TEST(MetricsRegistry, LayoutDoesNotDependOnNdebug) {
+  // The library and a translation unit built with another NDEBUG setting
+  // must agree on where every member lives.
+  EXPECT_EQ(layout_probe::registry_size_with_ndebug(),
+            layout_probe::registry_size_without_ndebug());
 }
 
 TEST(MetricsRegistry, JsonDumpContainsEveryMetric) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "addressing/assignment.hpp"
 #include "algebra/gr_algebra.hpp"
 #include "algebra/gr_path_algebra.hpp"
+#include "dragon/aggregation.hpp"
 #include "paper_networks.hpp"
 #include "routecomp/generic_solver.hpp"
 #include "routecomp/gr_sweep.hpp"
@@ -182,6 +184,74 @@ TEST_P(SweepSolverAgreement, ClassesAgreeOnGeneratedTopologies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepSolverAgreement,
                          ::testing::Values(31, 32, 33, 34, 35, 36));
+
+/// The sweep's kCustomer and kPeer nodes, in node-id order.
+std::vector<RegionNode> sweep_region(const topology::Topology& topo,
+                                     std::span<const NodeId> origins) {
+  const auto state = gr_sweep_multi(topo, origins, nullptr);
+  std::vector<RegionNode> out;
+  for (NodeId u = 0; u < topo.node_count(); ++u) {
+    if (state.cls[u] == kCustomer || state.cls[u] == kPeer) {
+      out.push_back({u, state.cls[u]});
+    }
+  }
+  return out;
+}
+
+TEST(GrRegion, Figure1RegionsAreUpsetAndItsPeers) {
+  const auto topo = F1::topology();
+  GrRegionBuilder builder(topo);
+  const NodeId p[1] = {F1::origin_p};
+  // §2: u4 and u2 elect customer p-routes, u1 a peer p-route.
+  std::vector<RegionNode> want{
+      {F1::u1, kPeer}, {F1::u2, kCustomer}, {F1::u4, kCustomer}};
+  std::sort(want.begin(), want.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  EXPECT_EQ(builder.build(p), want);
+  // The mark array is clean between calls: a repeat gives the same answer.
+  EXPECT_EQ(builder.build(p), want);
+}
+
+TEST(GrRegion, MatchesSweepForEveryOriginAndAggregate) {
+  topology::GeneratorParams params;
+  params.tier1_count = 4;
+  params.transit_count = 30;
+  params.stub_count = 120;
+  params.transit_peering_degree = 2.5;
+  params.seed = 37;
+  const auto gen = topology::generate_internet(params);
+  const auto& topo = gen.graph;
+  GrRegionBuilder builder(topo);
+  std::size_t peer_nodes = 0;
+  for (NodeId o = 0; o < topo.node_count(); ++o) {
+    const NodeId origins[1] = {o};
+    const auto got = builder.build(origins);
+    EXPECT_EQ(got, sweep_region(topo, origins)) << "origin " << o;
+    peer_nodes += static_cast<std::size_t>(std::count_if(
+        got.begin(), got.end(),
+        [](const RegionNode& r) { return r.cls == kPeer; }));
+  }
+  EXPECT_GT(peer_nodes, 0u);  // the peer ring is exercised
+
+  addressing::AssignmentParams aparams;
+  aparams.seed = 38;
+  aparams.max_prefixes_per_as = 12;
+  const auto assignment = addressing::generate_assignment(gen, aparams);
+  const auto aggregates = core::elect_aggregation_prefixes(topo, assignment);
+  ASSERT_FALSE(aggregates.empty());
+  std::size_t anycast = 0;
+  for (const auto& agg : aggregates) {
+    EXPECT_EQ(builder.build(agg.originators),
+              sweep_region(topo, agg.originators))
+        << agg.aggregate.to_cidr();
+    anycast += agg.originators.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(anycast, 0u);  // some origin sets hold several nodes
+
+  // Repeated origins count once.
+  const NodeId twice[3] = {5, 9, 5};
+  EXPECT_EQ(builder.build(twice), sweep_region(topo, twice));
+}
 
 }  // namespace
 }  // namespace dragon::routecomp
