@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
                "'divergence:variant=bad,ring=3;hijack:events=2'");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_chaos");
-  bench::apply_obs_flags(flags);
+  bench::apply_obs_flags();
 
   if (const std::string scenario_text = flags.str("scenario");
       !scenario_text.empty()) {

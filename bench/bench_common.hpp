@@ -2,7 +2,9 @@
 // builds the same kind of synthetic Internet (topology + prefix assignment,
 // see DESIGN.md for the substitution rationale) from a common flag set, so
 // results are comparable across benches and reproducible from the printed
-// configuration line.
+// configuration line.  The harnesses also share their observability flags
+// (--metrics-json, --span-trace) and keep span recording armed for the
+// whole run.
 #pragma once
 
 #include <cstdio>
@@ -16,7 +18,6 @@
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "topology/cleaner.hpp"
@@ -101,25 +102,22 @@ inline void run_trials(exec::ThreadPool* pool, std::size_t total,
 }
 
 /// Declares the observability flags every harness supports: a JSON dump
-/// of the metrics registry next to the text tables, and opt-in
-/// wall-clock profiling with an at-exit summary.
+/// of the metrics registry next to the text tables, and a Chrome trace of
+/// the execution spans.
 inline void define_obs_flags(util::Flags& flags) {
   flags.define("metrics-json", "",
                "write the metrics registry as JSON to this path");
-  flags.define("profile", "false",
-               "time election/trie/flush scopes; summary on exit");
   flags.define("span-trace", "",
                "write a Chrome trace-event JSON of execution spans to this "
                "path (load in Perfetto / chrome://tracing; analyze with "
                "tools/trace_report.py)");
 }
 
-/// Applies the parsed observability flags (call once after parse).  Span
-/// recording is always armed — the per-span cost is two steady-clock reads
-/// and a ring store, and keeping it on in every bench run is what lets
-/// tools/bench_gate.py enforce the "within noise" overhead contract.
-inline void apply_obs_flags(const util::Flags& flags) {
-  if (flags.boolean("profile")) obs::profiling_enable(true);
+/// Arms span recording for the whole run (call once after parse).  The
+/// per-span cost is two steady-clock reads and a ring store, and keeping
+/// it on in every bench run is what lets tools/bench_gate.py enforce the
+/// "within noise" overhead contract.
+inline void apply_obs_flags() {
   obs::span_enable(true);
   obs::span_set_thread_name("main");
 }

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                "fraction of queries drawn over the whole address space");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_dataplane");
-  bench::apply_obs_flags(flags);
+  bench::apply_obs_flags();
   auto pool = bench::make_thread_pool(flags);
   const std::size_t threads = pool != nullptr ? pool->size() : 1;
 

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                    1 << 24);
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_fig8_filtering");
-  bench::apply_obs_flags(flags);
+  bench::apply_obs_flags();
   auto pool = bench::make_thread_pool(flags);
   const std::size_t threads = pool != nullptr ? pool->size() : 1;
 

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
                "timeline sampling cadence in sim seconds");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_fig9_convergence");
-  bench::apply_obs_flags(flags);
+  bench::apply_obs_flags();
   if (flags.boolean("debug-log")) {
     util::set_log_level(util::LogLevel::kDebug);
   }

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
                "sequential single-entry sweep (--threads-list 1)");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_scaling");
-  bench::apply_obs_flags(flags);
+  bench::apply_obs_flags();
 
   auto thread_counts = parse_list(flags.str("threads-list"));
   if (thread_counts.empty()) {

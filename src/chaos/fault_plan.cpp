@@ -1,6 +1,8 @@
 #include "chaos/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,24 +108,18 @@ struct JsonCursor {
     pos += k.size() + 2;
     return lit(':');
   }
-  bool number_u64(std::uint64_t& out) {
+  /// An unsigned decimal that fits `T` (std::from_chars rejects a sign
+  /// and reports overflow).
+  template <typename T>
+  bool number_uint(T& out) {
     skip_ws();
-    const std::size_t begin = pos;
-    std::uint64_t v = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-      ++pos;
-    }
-    if (pos == begin) return false;
-    out = v;
+    const char* first = s.data() + pos;
+    const auto [end, ec] = std::from_chars(first, s.data() + s.size(), out);
+    if (ec != std::errc{}) return false;
+    pos += static_cast<std::size_t>(end - first);
     return true;
   }
-  bool number_u32(std::uint32_t& out) {
-    std::uint64_t v = 0;
-    if (!number_u64(v) || v > 0xFFFFFFFFull) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-  }
+  /// A finite number: to_json could not write inf or nan back as JSON.
   bool number_double(double& out) {
     skip_ws();
     // %.9g emits an optional sign, digits, optional fraction and exponent;
@@ -143,7 +139,7 @@ struct JsonCursor {
     buf[len] = '\0';
     char* end = nullptr;
     out = std::strtod(buf, &end);
-    return end == buf + len;
+    return end == buf + len && std::isfinite(out);
   }
   bool string(std::string& out) {
     if (!lit('"')) return false;
@@ -177,8 +173,8 @@ bool parse_action(JsonCursor& c, FaultAction& act) {
   switch (act.kind) {
     case FaultKind::kLinkFail:
     case FaultKind::kLinkRestore:
-      if (!c.lit(',') || !c.key("a") || !c.number_u32(act.a) || !c.lit(',') ||
-          !c.key("b") || !c.number_u32(act.b)) {
+      if (!c.lit(',') || !c.key("a") || !c.number_uint(act.a) || !c.lit(',') ||
+          !c.key("b") || !c.number_uint(act.b)) {
         return false;
       }
       break;
@@ -186,15 +182,15 @@ bool parse_action(JsonCursor& c, FaultAction& act) {
     case FaultKind::kNodeRestart:
     case FaultKind::kRouteLeakStart:
     case FaultKind::kRouteLeakStop:
-      if (!c.lit(',') || !c.key("node") || !c.number_u32(act.a)) return false;
+      if (!c.lit(',') || !c.key("node") || !c.number_uint(act.a)) return false;
       break;
     case FaultKind::kOriginWithdraw:
     case FaultKind::kOriginAnnounce:
     case FaultKind::kHijackAnnounce:
     case FaultKind::kHijackWithdraw: {
       std::string bits;
-      if (!c.lit(',') || !c.key("origin") || !c.number_u32(act.origin) ||
-          !c.lit(',') || !c.key("attr") || !c.number_u32(act.attr) ||
+      if (!c.lit(',') || !c.key("origin") || !c.number_uint(act.origin) ||
+          !c.lit(',') || !c.key("attr") || !c.number_uint(act.attr) ||
           !c.lit(',') || !c.key("prefix") || !c.string(bits)) {
         return false;
       }
@@ -214,7 +210,7 @@ bool parse_action(JsonCursor& c, FaultAction& act) {
 std::optional<FaultPlan> FaultPlan::from_json(std::string_view json) {
   JsonCursor c{json};
   FaultPlan plan;
-  if (!c.lit('{') || !c.key("seed") || !c.number_u64(plan.seed) ||
+  if (!c.lit('{') || !c.key("seed") || !c.number_uint(plan.seed) ||
       !c.lit(',') || !c.key("actions") || !c.lit('[')) {
     return std::nullopt;
   }

@@ -1,6 +1,8 @@
 #include "chaos/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,14 +36,20 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
   return h ^ (h >> 31);
 }
 
-bool to_size(std::string_view v, std::size_t& out) {
-  if (v.empty()) return false;
-  std::size_t r = 0;
-  for (const char c : v) {
-    if (c < '0' || c > '9') return false;
-    r = r * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = r;
+/// The whole of `v` as an unsigned decimal that fits `T` (std::from_chars
+/// rejects a sign and reports overflow).
+template <typename T>
+bool to_uint(std::string_view v, T& out) {
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, out);
+  return ec == std::errc{} && end == last;
+}
+
+/// A generator node count: make_net narrows it to uint32_t.
+bool to_node_count(std::string_view v, std::size_t& out) {
+  std::uint32_t n = 0;
+  if (!to_uint(v, n)) return false;
+  out = n;
   return true;
 }
 
@@ -52,7 +60,7 @@ bool to_double(std::string_view v, double& out) {
   buf[v.size()] = '\0';
   char* end = nullptr;
   out = std::strtod(buf, &end);
-  return end == buf + v.size();
+  return end == buf + v.size() && std::isfinite(out);
 }
 
 /// The shared generated network of the leak/hijack/damping/jitter
@@ -446,17 +454,17 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
     if (key == "variant") {
       spec.variant.assign(val);
     } else if (key == "ring") {
-      good = to_size(val, spec.ring);
+      good = to_uint(val, spec.ring);
     } else if (key == "tier1") {
-      good = to_size(val, spec.tier1);
+      good = to_node_count(val, spec.tier1);
     } else if (key == "transit") {
-      good = to_size(val, spec.transit);
+      good = to_node_count(val, spec.transit);
     } else if (key == "stubs") {
-      good = to_size(val, spec.stubs);
+      good = to_node_count(val, spec.stubs);
     } else if (key == "prefixes") {
-      good = to_size(val, spec.prefixes);
+      good = to_uint(val, spec.prefixes);
     } else if (key == "events") {
-      good = to_size(val, spec.events);
+      good = to_uint(val, spec.events);
     } else if (key == "horizon") {
       good = to_double(val, spec.horizon);
     } else if (key == "mrai") {
@@ -474,9 +482,9 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
     } else if (key == "jitter") {
       good = to_double(val, spec.jitter);
     } else if (key == "max-events") {
-      good = to_size(val, spec.max_events);
+      good = to_uint(val, spec.max_events);
     } else if (key == "sample-every") {
-      good = to_size(val, spec.sample_every);
+      good = to_uint(val, spec.sample_every);
     } else {
       return std::nullopt;
     }

@@ -131,8 +131,6 @@ class EpochReader {
 struct ReclaimStats {
   std::size_t freed = 0;         ///< tables deleted this pass
   std::size_t outstanding = 0;   ///< tables still awaiting drain
-  /// retire-to-free latency of each freed table, in nanoseconds.
-  std::vector<std::uint64_t> latencies_ns;
 };
 
 /// A hot-swappable pointer to an immutable T, reclaimed via an
@@ -163,24 +161,20 @@ class EpochPublished {
 
   /// Swaps in `table`, retires the previous one (tagged with the epoch
   /// returned by advance()), and opportunistically reclaims any retired
-  /// tables whose readers have drained.  `now_ns` stamps retirement for
-  /// the reclaim-latency metric (pass obs::span_now_ns() or 0).
-  ReclaimStats publish(std::unique_ptr<const T> table,
-                       std::uint64_t now_ns = 0) {
+  /// tables whose readers have drained.
+  ReclaimStats publish(std::unique_ptr<const T> table) {
     const std::lock_guard<std::mutex> lock(mu_);
     const T* old = current_.exchange(table.release(),
                                      std::memory_order_seq_cst);
     ++publish_count_;
-    if (old != nullptr) {
-      retired_.push_back({old, domain_.advance(), now_ns});
-    }
-    return reclaim_locked(now_ns);
+    if (old != nullptr) retired_.push_back({old, domain_.advance()});
+    return reclaim_locked();
   }
 
   /// Frees every retired table no pinned reader can still see.
-  ReclaimStats reclaim(std::uint64_t now_ns = 0) {
+  ReclaimStats reclaim() {
     const std::lock_guard<std::mutex> lock(mu_);
-    return reclaim_locked(now_ns);
+    return reclaim_locked();
   }
 
   [[nodiscard]] std::size_t publish_count() const {
@@ -198,10 +192,9 @@ class EpochPublished {
   struct Retired {
     const T* ptr;
     std::uint64_t epoch;
-    std::uint64_t retired_ns;
   };
 
-  ReclaimStats reclaim_locked(std::uint64_t now_ns) {
+  ReclaimStats reclaim_locked() {
     ReclaimStats stats;
     const std::uint64_t min_pin = domain_.min_pinned();
     std::size_t keep = 0;
@@ -209,9 +202,6 @@ class EpochPublished {
       if (r.epoch < min_pin) {
         delete r.ptr;
         ++stats.freed;
-        stats.latencies_ns.push_back(now_ns >= r.retired_ns
-                                         ? now_ns - r.retired_ns
-                                         : 0);
       } else {
         retired_[keep++] = r;
       }

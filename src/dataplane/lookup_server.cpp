@@ -51,22 +51,14 @@ LookupServer::LookupServer(LookupServerConfig config)
 void LookupServer::publish(std::unique_ptr<const LpmTable> table) {
   DRAGON_SPAN_ARG("dataplane", "table_swap", "bytes",
                   table != nullptr ? table->stats().table_bytes : 0);
-  absorb(published_.publish(std::move(table), obs::span_now_ns()));
+  reclaimed_ += published_.publish(std::move(table)).freed;
 }
 
 std::size_t LookupServer::reclaim() {
   DRAGON_SPAN("dataplane", "table_reclaim");
-  const ReclaimStats stats = published_.reclaim(obs::span_now_ns());
-  const std::size_t outstanding = stats.outstanding;
-  absorb(stats);
-  return outstanding;
-}
-
-void LookupServer::absorb(const ReclaimStats& stats) {
+  const ReclaimStats stats = published_.reclaim();
   reclaimed_ += stats.freed;
-  reclaim_latencies_ns_.insert(reclaim_latencies_ns_.end(),
-                               stats.latencies_ns.begin(),
-                               stats.latencies_ns.end());
+  return stats.outstanding;
 }
 
 BatchResult LookupServer::serve(const QueryGen& gen, util::Rng rng,
@@ -146,8 +138,6 @@ void LookupServer::export_metrics(obs::MetricsRegistry& reg) const {
   reg.counter("dragon.dataplane.reclaimed")->set(reclaimed_);
   reg.gauge("dragon.dataplane.retired_outstanding")
       ->set(static_cast<double>(published_.retired_count()));
-  auto* lat = reg.histogram("dragon.dataplane.reclaim_ns");
-  for (const std::uint64_t ns : reclaim_latencies_ns_) lat->observe(ns);
   reg.counter("dragon.dataplane.lookups")->set(totals_.lookups);
   reg.counter("dragon.dataplane.hits")->set(totals_.hits);
 }

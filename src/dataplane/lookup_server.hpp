@@ -149,8 +149,6 @@ class LookupServer {
   }
 
  private:
-  void absorb(const ReclaimStats& stats);
-
   LookupServerConfig config_;
   /// mutable: serve() is const (callable concurrently from readers) but
   /// must pin/unpin its reader slot — slot traffic is the readers' own
@@ -161,7 +159,6 @@ class LookupServer {
   // Owner-thread accumulators (export_metrics snapshots them).
   BatchResult totals_;
   std::uint64_t reclaimed_ = 0;
-  std::vector<std::uint64_t> reclaim_latencies_ns_;
 };
 
 }  // namespace dragon::dataplane

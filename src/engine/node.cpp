@@ -1,14 +1,11 @@
 #include "engine/node.hpp"
 
-#include "obs/profile.hpp"
-
 namespace dragon::engine {
 
 using algebra::Attr;
 using algebra::kUnreachable;
 
 Attr NodeState::elect(const algebra::Algebra& alg, prefix::PrefixId id) {
-  DRAGON_PROF_SCOPE("engine.elect");
   RouteEntry& entry = route(id);
   Attr best = kUnreachable;
   if (entry.originated && !entry.origin_paused) best = entry.origin_attr;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "util/log.hpp"
 
@@ -942,9 +941,7 @@ void Simulator::reelect_and_react(NodeId u, PrefixId p) {
   sync_entry_obs(u, p, entry);
 }
 
-void Simulator::sync_entry_obs([[maybe_unused]] NodeId u,
-                               [[maybe_unused]] PrefixId p,
-                               RouteEntry& entry) {
+void Simulator::sync_entry_obs(NodeId u, PrefixId p, RouteEntry& entry) {
   const bool active = entry.elected != kUnreachable && !entry.filtered;
   if (active == entry.fib_installed) return;
   entry.fib_installed = active;
@@ -997,7 +994,6 @@ void Simulator::try_flush(NodeId u, NodeId v) {
 }
 
 void Simulator::flush_now(NodeId u, NodeId v) {
-  DRAGON_PROF_SCOPE("engine.flush");
   if (config_.session.enabled &&
       (!channel_up(u, v) || restart_deferred(u))) {
     return;  // the channel moved under a scheduled MRAI flush

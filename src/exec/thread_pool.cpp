@@ -55,12 +55,10 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-void ThreadPool::worker_loop([[maybe_unused]] std::size_t index) {
-#if DRAGON_TRACE
+void ThreadPool::worker_loop(std::size_t index) {
   // Named buffer for the trace export; no-op (and no allocation) unless
   // span recording was enabled before the pool spawned.
   obs::span_set_thread_name("pool.worker-" + std::to_string(index));
-#endif
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -15,15 +15,13 @@
 //   * Static span sites.  DRAGON_SPAN declares a function-local static
 //     SpanSite carrying the category/name/arg-key string literals plus
 //     atomic {calls, total_ns} accumulators, registered on a global
-//     intrusive list at first pass (same idiom as obs/profile.hpp).
-//     Site totals are exact even after rings wrap, which is what the
-//     benches stamp into their metrics artifacts.
+//     intrusive list at first pass.  Site totals are exact even after
+//     rings wrap, which is what the benches stamp into their metrics
+//     artifacts.
 //   * Steady-clock timestamps relative to one process-wide epoch, so
 //     spans from different threads merge onto a single timeline.
 //   * Disabled cost: one relaxed atomic load and a branch per scope
-//     (span_enable(false), the default).  Compiled-out cost: zero — the
-//     DRAGON_SPAN macros expand to nothing under -DDRAGON_TRACE=0, the
-//     same switch that removes DRAGON_TRACE_EVENT.
+//     (span_enable(false), the default).
 //
 // Reader contract: span_collect(), span_reset(), and the export layer
 // (obs/trace_export.hpp) read ring contents non-atomically and must only
@@ -41,10 +39,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef DRAGON_TRACE
-#define DRAGON_TRACE 1
-#endif
 
 namespace dragon::obs {
 
@@ -242,18 +236,10 @@ class SpanScope {
   std::uint64_t args_[3] = {0, 0, 0};
 };
 
-/// No-op stand-in DRAGON_SPAN_NAMED expands to when the instrumentation
-/// is compiled out, so call sites can still invoke set_arg unguarded.
-struct SpanScopeNoop {
-  void set_arg(std::size_t, std::uint64_t) noexcept {}
-};
-
 }  // namespace dragon::obs
 
 #define DRAGON_SPAN_CONCAT_INNER(a, b) a##b
 #define DRAGON_SPAN_CONCAT(a, b) DRAGON_SPAN_CONCAT_INNER(a, b)
-
-#if DRAGON_TRACE
 
 /// Declares a static span site and an RAII guard for the enclosing
 /// scope.  `category` and `name` must be string literals, conventionally
@@ -291,28 +277,10 @@ struct SpanScopeNoop {
       static_cast<std::uint64_t>(value2))
 
 /// Named-guard variant for scopes that fill arguments in later
-/// (`var.set_arg(0, ...)`).  Compiles to a SpanScopeNoop with the same
-/// surface when the instrumentation is off.
+/// (`var.set_arg(0, ...)`).
 #define DRAGON_SPAN_NAMED(var, category, name, key0)                      \
   static ::dragon::obs::SpanSite DRAGON_SPAN_CONCAT(dragon_span_site_,    \
                                                     __LINE__){category,   \
                                                               name, key0}; \
   ::dragon::obs::SpanScope var(                                           \
       DRAGON_SPAN_CONCAT(dragon_span_site_, __LINE__))
-
-#else
-
-#define DRAGON_SPAN(category, name) \
-  do {                              \
-  } while (0)
-#define DRAGON_SPAN_ARG(category, name, key, value) \
-  do {                                              \
-  } while (0)
-#define DRAGON_SPAN_ARG3(category, name, key0, value0, key1, value1, key2, \
-                         value2)                                           \
-  do {                                                                     \
-  } while (0)
-#define DRAGON_SPAN_NAMED(var, category, name, key0) \
-  [[maybe_unused]] ::dragon::obs::SpanScopeNoop var
-
-#endif  // DRAGON_TRACE

@@ -9,10 +9,9 @@
 // no sink attached the ring wraps, overwriting the oldest records and
 // counting the drops, so an always-on tracer stays bounded.
 //
-// Emission sites are wrapped in DRAGON_TRACE_EVENT, which compiles to
-// nothing when the library is built with -DDRAGON_TRACE=0 (CMake option
-// DRAGON_TRACE), so the zero-tracer configuration has literally no
-// instrumentation cost on the hot paths.
+// Emission sites are wrapped in DRAGON_TRACE_EVENT, which records only
+// when the tracer pointer is non-null, so a run without a tracer pays one
+// null check per site.
 //
 // JSONL schema (DESIGN.md "Observability"):
 //   {"t":<sim seconds>,"kind":"<event>","node":<id>
@@ -27,11 +26,6 @@
 
 #include "prefix/prefix.hpp"
 
-#ifndef DRAGON_TRACE
-#define DRAGON_TRACE 1
-#endif
-
-#if DRAGON_TRACE
 #define DRAGON_TRACE_EVENT(tracer, ...)               \
   do {                                                \
     auto* dragon_trace_sink_ = (tracer);              \
@@ -39,9 +33,6 @@
       dragon_trace_sink_->record(__VA_ARGS__);        \
     }                                                 \
   } while (0)
-#else
-#define DRAGON_TRACE_EVENT(tracer, ...) ((void)0)
-#endif
 
 namespace dragon::obs {
 

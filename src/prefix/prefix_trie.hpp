@@ -13,7 +13,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/profile.hpp"
 #include "prefix/prefix.hpp"
 
 namespace dragon::prefix {
@@ -38,7 +37,6 @@ class PrefixTrie {
 
   /// Inserts or overwrites the value at `p`.  Returns true if newly inserted.
   bool insert(const Prefix& p, T value) {
-    DRAGON_PROF_SCOPE("trie.insert");
     Node* node = descend_create(p);
     const bool fresh = !node->value.has_value();
     node->value = std::move(value);
@@ -68,7 +66,6 @@ class PrefixTrie {
   /// Longest-prefix match for an address: the most specific stored prefix
   /// containing `addr`, or nullopt if none (no default route stored).
   [[nodiscard]] std::optional<std::pair<Prefix, const T*>> lookup(Address addr) const {
-    DRAGON_PROF_SCOPE("trie.lookup");
     const Node* node = root_.get();
     std::optional<std::pair<Prefix, const T*>> best;
     Prefix walk;
@@ -86,7 +83,6 @@ class PrefixTrie {
   /// The most specific stored prefix that strictly covers `p` — DRAGON's
   /// "parent prefix" (§3.6) — or nullopt if `p` is parentless here.
   [[nodiscard]] std::optional<Prefix> parent_of(const Prefix& p) const {
-    DRAGON_PROF_SCOPE("trie.parent_of");
     const Node* node = root_.get();
     std::optional<Prefix> best;
     Prefix walk;
@@ -107,7 +103,6 @@ class PrefixTrie {
   /// Visits stored entries covered by `p` (including `p` itself).
   void visit_subtree(const Prefix& p,
                      const std::function<void(const Prefix&, const T&)>& fn) const {
-    DRAGON_PROF_SCOPE("trie.visit_subtree");
     const Node* node = root_.get();
     for (int depth = 0; depth < p.length(); ++depth) {
       node = node->child[p.bit_at(depth)].get();

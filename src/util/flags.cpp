@@ -1,6 +1,8 @@
 #include "util/flags.hpp"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -208,7 +210,15 @@ std::uint64_t Flags::u64(std::string_view name) const {
 }
 
 double Flags::f64(std::string_view name) const {
-  return std::strtod(entry(name).value.c_str(), nullptr);
+  const std::string& v = entry(name).value;
+  const char* last = v.data() + v.size();
+  double d = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), last, d);
+  if (ec != std::errc{} || end != last || !std::isfinite(d)) {
+    throw std::invalid_argument("flag --" + std::string(name) + ": '" + v +
+                                "' is not a finite number");
+  }
+  return d;
 }
 
 double Flags::seconds(std::string_view name) const {

@@ -51,6 +51,8 @@ class Flags {
   [[nodiscard]] std::string str(std::string_view name) const;
   [[nodiscard]] std::int64_t i64(std::string_view name) const;
   [[nodiscard]] std::uint64_t u64(std::string_view name) const;
+  /// Throws std::invalid_argument unless the whole value is one finite
+  /// number.
   [[nodiscard]] double f64(std::string_view name) const;
   [[nodiscard]] bool boolean(std::string_view name) const;
   /// The value of a define_duration flag, in seconds.

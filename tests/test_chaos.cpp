@@ -258,6 +258,15 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
       "{\"seed\":1,\"actions\":[{\"t\":0,\"kind\":\"origin_withdraw\","
       "\"origin\":1,\"attr\":2,\"prefix\":\"1x\"}]}",
       "{\"seed\":1,\"actions\":[]}trailing",
+      // Out of range: a seed past UINT64_MAX, a node id past UINT32_MAX,
+      // and a time that overflows a double.
+      "{\"seed\":18446744073709551616,\"actions\":[]}",
+      "{\"seed\":1,\"actions\":[{\"t\":0,\"kind\":\"link_fail\","
+      "\"a\":18446744073709551617,\"b\":2}]}",
+      "{\"seed\":1,\"actions\":[{\"t\":0,\"kind\":\"link_fail\","
+      "\"a\":4294967296,\"b\":2}]}",
+      "{\"seed\":1,\"actions\":[{\"t\":1e999,\"kind\":\"node_crash\","
+      "\"node\":1}]}",
   };
   for (const char* s : bad) {
     EXPECT_FALSE(FaultPlan::from_json(s).has_value()) << s;

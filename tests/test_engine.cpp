@@ -532,7 +532,6 @@ TEST(Observability, FibGaugeMatchesFibSizes) {
   EXPECT_EQ(static_cast<std::size_t>(gauge->value()), fib_sum());
 }
 
-#if DRAGON_TRACE
 // An attached tracer sees the convergence episode: sends, receipts,
 // elections, FIB installs; record times are monotone overall (the engine
 // emits in event order).
@@ -559,7 +558,6 @@ TEST(Observability, TracerCapturesConvergence) {
   // Everybody installs the one prefix.
   EXPECT_EQ(installs, topo.node_count());
 }
-#endif  // DRAGON_TRACE
 
 // A timeline attached before convergence produces samples with monotone
 // times and non-decreasing cumulative update counts, ending at the

@@ -1,7 +1,7 @@
 // Tests for the observability substrate (src/obs/): histogram bucket
 // boundaries and quantile interpolation, registry semantics
 // (reset/merge/snapshot), tracer JSONL well-formedness and ring
-// wraparound, timeline sampling, and the profiling scopes.
+// wraparound, and timeline sampling.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "prefix/prefix.hpp"
@@ -499,31 +498,6 @@ TEST(Timeline, WriteJsonlSplicesExtraFields) {
   EXPECT_NE(lines[0].find("\"trial\":3"), std::string::npos);
   EXPECT_NE(lines[0].find("\"fib_entries\":7"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// --- Profiling scopes ------------------------------------------------------
-
-TEST(Profile, ScopesAccumulateWhenEnabled) {
-  profiling_enable(true);
-  profile_reset();
-  for (int i = 0; i < 3; ++i) {
-    DRAGON_PROF_SCOPE("obs.test.scope");
-  }
-  profiling_enable(false);
-  const std::string summary = profile_summary();
-  // Site appears in the table with its call count.
-  EXPECT_NE(summary.find("obs.test.scope"), std::string::npos) << summary;
-  const auto pos = summary.find("obs.test.scope");
-  EXPECT_NE(summary.find("3", pos), std::string::npos) << summary;
-  profile_reset();
-}
-
-TEST(Profile, DisabledScopesRecordNothing) {
-  profiling_enable(false);
-  profile_reset();
-  { DRAGON_PROF_SCOPE("obs.test.disabled"); }
-  // Zero-call sites are omitted from the summary entirely.
-  EXPECT_EQ(profile_summary().find("obs.test.disabled"), std::string::npos);
 }
 
 }  // namespace

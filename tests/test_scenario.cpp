@@ -65,6 +65,13 @@ TEST(ScenarioSmoke, SpecRejectsMalformedText) {
       "leak:=3",    "leak:events=x",  "leak:events=0",    "leak:nope=3",
       "hijack:ring",
       "divergence:sample-every=0",
+      // Out of range: size_t overflow, non-finite doubles, and generator
+      // node counts past UINT32_MAX.
+      "leak:stubs=18446744073709551617",
+      "damping:half-life=nan",
+      "leak:horizon=inf",
+      "leak:tier1=4294967297",
+      "leak:transit=4294967296",
   };
   for (const char* s : bad) {
     EXPECT_FALSE(ScenarioSpec::parse(s).has_value()) << s;

@@ -58,7 +58,7 @@ std::uint64_t calls_of(const char* category, const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring buffer semantics (no macros involved; compiles under notrace too)
+// Ring buffer semantics (no macros involved)
 // ---------------------------------------------------------------------------
 
 TEST_F(SpanTest, RingWrapKeepsNewestAndCountsDrops) {
@@ -85,8 +85,6 @@ TEST_F(SpanTest, RingWrapKeepsNewestAndCountsDrops) {
   EXPECT_EQ(buffer.dropped(), 0u);
   EXPECT_EQ(buffer.size(), 0u);
 }
-
-#if DRAGON_TRACE
 
 // ---------------------------------------------------------------------------
 // Recording semantics
@@ -234,8 +232,6 @@ TEST(ExecSmoke, SpanCountsInvariantAcrossThreadCounts) {
   span_enable(false);
   span_reset();
 }
-
-#endif  // DRAGON_TRACE
 
 }  // namespace
 }  // namespace dragon::obs

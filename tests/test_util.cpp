@@ -192,6 +192,17 @@ TEST(Flags, NegativeIntFlagThrowsOnUnsignedLookup) {
   EXPECT_THROW((void)flags.u64("only-tree"), std::out_of_range);
 }
 
+TEST(Flags, DoubleLookupThrowsOnMalformedValue) {
+  for (const char* bad : {"abc", "0.1x", "", "nan"}) {
+    util::Flags flags;
+    flags.define("rate", "0.5", "a rate");
+    const std::string arg = std::string("--rate=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv))) << bad;
+    EXPECT_THROW((void)flags.f64("rate"), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Flags, DurationFlagParsesEveryUnitToSeconds) {
   struct Case {
     const char* text;
