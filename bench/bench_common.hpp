@@ -242,11 +242,16 @@ inline Scenario build_scenario(const util::Flags& flags) {
 
   std::printf(
       "# scenario: %zu ASs (%zu stubs), %zu links, %zu prefixes "
-      "(%zu parentless)\n",
+      "(%zu parentless)",
       scenario.generated.graph.node_count(),
       scenario.generated.graph.stubs().size(),
       scenario.generated.graph.link_count(), scenario.assignment.size(),
       scenario.stats.parentless);
+  if (scenario.assignment.pool_exhausted > 0) {
+    std::printf(", %zu ASs without a primary block (pool exhausted)",
+                scenario.assignment.pool_exhausted);
+  }
+  std::printf("\n");
   return scenario;
 }
 

@@ -130,6 +130,8 @@ int main(int argc, char** argv) {
                    std::to_string(s.non_trivial_trees)});
     table.add_comparison("median non-trivial tree size", "5",
                          s.median_tree_size);
+    table.add_row({"ASs without a primary block (pool exhausted)", "-",
+                   std::to_string(scenario.assignment.pool_exhausted)});
     table.print();
   }
 

@@ -12,10 +12,10 @@
 // Always writes a metrics JSON artifact (default BENCH_scaling.json):
 // gauges scaling.seconds.threads.T and scaling.speedup.threads.T per
 // sweep, plus the schedule count, plus a per-stage wall-clock breakdown
-// (compute/merge/commit/idle seconds from the span layer, see
-// obs/span.hpp) as scaling.span.* gauges and a "span_breakdown" meta
-// block — the numbers tools/trace_report.py derives from a full trace,
-// stamped into the artifact on every run.
+// (compute/commit/idle seconds from the span layer, see obs/span.hpp) as
+// scaling.span.* gauges and a "span_breakdown" meta block — the numbers
+// tools/trace_report.py derives from a full trace, stamped into the
+// artifact on every run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -75,13 +75,12 @@ struct Digest {
 /// Per-stage seconds from the span-site accumulators (exact regardless
 /// of ring wrap; see obs/span.hpp).  Buckets match tools/trace_report.py:
 /// chunk bodies are compute, everything the runtime adds around them is
-/// split into merge / ordered-commit / idle.
+/// split into ordered-commit / idle.
 struct StageSeconds {
   double compute = 0.0;
   /// Thread CPU time inside chunk bodies; compute - compute_cpu is time
   /// workers sat descheduled mid-chunk (the oversubscription signature).
   double compute_cpu = 0.0;
-  double merge = 0.0;
   double commit = 0.0;
   double idle = 0.0;
 };
@@ -93,8 +92,6 @@ StageSeconds stage_totals() {
     const std::string_view cat(t.category), name(t.name);
     if (cat == "pool" && name == "idle") {
       s.idle += sec;
-    } else if (cat == "exec" && name == "shard_merge") {
-      s.merge += sec;
     } else if ((cat == "exec" && name == "commit_wait") ||
                (cat == "bench" && name == "commit")) {
       s.commit += sec;
@@ -247,7 +244,6 @@ int main(int argc, char** argv) {
     breakdowns.emplace_back(
         threads, StageSeconds{after.compute - before.compute,
                               after.compute_cpu - before.compute_cpu,
-                              after.merge - before.merge,
                               after.commit - before.commit,
                               after.idle - before.idle});
 
@@ -290,9 +286,6 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof name, "scaling.span.compute_cpu_s.threads.%zu",
                   threads);
     reg.gauge(name)->set(stages.compute_cpu);
-    std::snprintf(name, sizeof name, "scaling.span.merge_s.threads.%zu",
-                  threads);
-    reg.gauge(name)->set(stages.merge);
     std::snprintf(name, sizeof name, "scaling.span.commit_s.threads.%zu",
                   threads);
     reg.gauge(name)->set(stages.commit);
@@ -312,7 +305,7 @@ int main(int argc, char** argv) {
     // Pool-overhead audit: the same sweep dispatched through a 1-worker
     // pool.  The sequential entry above runs inline on the calling
     // thread, so pool1 / seq is the runtime's pure dispatch cost (lane
-    // submission + ticket claims + shard merge), gated by
+    // submission + ticket claims + join), gated by
     // tools/bench_gate.py --scaling-check.
     auto pool = std::make_unique<exec::ThreadPool>(1);
     const auto t0 = std::chrono::steady_clock::now();
@@ -372,10 +365,9 @@ int main(int argc, char** argv) {
     char entry[256];
     std::snprintf(entry, sizeof entry,
                   "%s\"%zu\":{\"compute_s\":%.6f,\"compute_cpu_s\":%.6f,"
-                  "\"merge_s\":%.6f,\"commit_s\":%.6f,\"idle_s\":%.6f}",
+                  "\"commit_s\":%.6f,\"idle_s\":%.6f}",
                   i == 0 ? "" : ",", threads, stages.compute,
-                  stages.compute_cpu, stages.merge, stages.commit,
-                  stages.idle);
+                  stages.compute_cpu, stages.commit, stages.idle);
     meta += entry;
   }
   meta += "}}";

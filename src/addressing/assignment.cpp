@@ -189,7 +189,10 @@ Assignment generate_assignment(const topology::GeneratedTopology& topo,
       block = allocate_pa(u);
     }
     if (!block) block = allocate_pi(u, /*primary=*/true);
-    if (!block) continue;  // registry pool exhausted (tiny address spaces)
+    if (!block) {
+      ++out.pool_exhausted;
+      continue;
+    }
     primary[u] = {*block, block->first_address(), true};
     announce(u, *block);
   }

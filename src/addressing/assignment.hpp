@@ -60,6 +60,9 @@ struct Assignment {
   /// prefix may appear twice only when anomalies were injected.
   std::vector<prefix::Prefix> prefixes;
   std::vector<topology::NodeId> origin;
+  /// ASs that got no primary block because their registry pool ran dry.
+  /// Set by generate_assignment only; 0 at the benches' default scale.
+  std::size_t pool_exhausted = 0;
 
   [[nodiscard]] std::size_t size() const noexcept { return prefixes.size(); }
 };

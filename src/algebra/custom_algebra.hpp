@@ -28,9 +28,6 @@ class TableAlgebra final : public Algebra {
   [[nodiscard]] std::vector<Attr> attribute_support() const override;
   [[nodiscard]] std::vector<LabelId> label_support() const override;
 
-  [[nodiscard]] std::size_t attr_count() const noexcept { return names_.size(); }
-  [[nodiscard]] std::size_t map_count() const noexcept { return maps_.size(); }
-
   /// Generates a random table algebra with `attrs` attributes and `labels`
   /// labels; each map entry is either a uniformly random attribute or
   /// kUnreachable with probability `drop`.

@@ -43,7 +43,8 @@ enum class SnapshotKind {
 
 /// Snapshot-to-table pipeline with a fixed layout config.  compile()
 /// returns the unique_ptr<const LpmTable> shape EpochPublished::publish
-/// consumes, so "recompile and hot-swap node u" is two lines.
+/// consumes, so "recompile and hot-swap node u" is
+/// publish(compile(fib_from_simulator(sim, u, kind))).
 class FibCompiler {
  public:
   explicit FibCompiler(LpmConfig config = {}) : config_(config) {}
@@ -51,12 +52,6 @@ class FibCompiler {
   [[nodiscard]] std::unique_ptr<const LpmTable> compile(
       const fibcomp::Fib& fib) const {
     return std::make_unique<const LpmTable>(LpmTable::compile(fib, config_));
-  }
-
-  [[nodiscard]] std::unique_ptr<const LpmTable> compile_node(
-      const engine::Simulator& sim, engine::Simulator::NodeId node,
-      SnapshotKind kind) const {
-    return compile(fib_from_simulator(sim, node, kind));
   }
 
   [[nodiscard]] const LpmConfig& config() const noexcept { return config_; }

@@ -55,10 +55,6 @@ class QueryGen {
 
   [[nodiscard]] prefix::Address draw(util::Rng& rng) const noexcept;
 
-  [[nodiscard]] std::size_t prefix_count() const noexcept {
-    return first_.size();
-  }
-
  private:
   QueryMix mix_;
   // Parallel arrays (hot loop: no Prefix methods, just adds).

@@ -136,23 +136,13 @@ Simulator::Simulator(const topology::Topology& topo,
 }
 
 Stats Simulator::stats() const {
-  // Materialised from one consistent registry snapshot rather than six
-  // live handle reads: under the sharded-registry contract (DESIGN.md §8)
-  // the facade must also be correct for a registry whose values arrived
-  // by merging worker shards, where the hot-path handles resolved at
-  // construction are not the only writers of these names.
-  const auto snap = metrics_.snapshot_state();
-  const auto get = [&snap](std::string_view name) -> std::uint64_t {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
-  };
   Stats s;
-  s.announcements = get("dragon.engine.announcements");
-  s.withdrawals = get("dragon.engine.withdrawals");
-  s.deaggregations = get("dragon.dragon.deaggregations");
-  s.reaggregations = get("dragon.dragon.reaggregations");
-  s.downgrades = get("dragon.dragon.downgrades");
-  s.agg_originations = get("dragon.dragon.agg_originations");
+  s.announcements = c_announce_->value();
+  s.withdrawals = c_withdraw_->value();
+  s.deaggregations = c_deagg_->value();
+  s.reaggregations = c_reagg_->value();
+  s.downgrades = c_downgrade_->value();
+  s.agg_originations = c_agg_orig_->value();
   return s;
 }
 
@@ -356,10 +346,6 @@ void Simulator::stop_route_leak(NodeId n) {
   leak_reflush(n);
 }
 
-std::vector<topology::NodeId> Simulator::leaking_nodes() const {
-  return {leakers_.begin(), leakers_.end()};
-}
-
 void Simulator::leak_reflush(NodeId n) {
   // Every export decision of n may flip between leaked and withdrawn;
   // re-queue the whole table towards every live neighbour.
@@ -396,11 +382,6 @@ void Simulator::withdraw_rogue(const Prefix& p, NodeId origin) {
   entry.origin_attr = kUnreachable;
   entry.origin_paused = false;
   reelect_and_react(origin, pid);
-}
-
-std::vector<std::pair<prefix::Prefix, topology::NodeId>>
-Simulator::rogue_origins() const {
-  return {rogues_.begin(), rogues_.end()};
 }
 
 void Simulator::fail_link(NodeId a, NodeId b) {

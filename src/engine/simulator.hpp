@@ -188,9 +188,6 @@ class Simulator {
   /// the leak_mask hook or for an invalid node; idempotent.
   void start_route_leak(NodeId n);
   void stop_route_leak(NodeId n);
-  [[nodiscard]] bool leaking(NodeId n) const { return leakers_.contains(n); }
-  /// Currently leaking nodes, ascending.
-  [[nodiscard]] std::vector<NodeId> leaking_nodes() const;
 
   /// Originates p at `origin` *without* registering an origination record:
   /// an origin hijack — no delegation cross-links, no rule-RA audits, no
@@ -201,8 +198,6 @@ class Simulator {
   /// the assignment).
   void originate_rogue(const Prefix& p, NodeId origin, Attr attr);
   void withdraw_rogue(const Prefix& p, NodeId origin);
-  /// Active rogue originations, ordered (prefix, origin).
-  [[nodiscard]] std::vector<std::pair<Prefix, NodeId>> rogue_origins() const;
 
   /// Fails / restores the link between a and b (sessions reset).  Both are
   /// validated and idempotent: failing a link that does not exist in the
@@ -578,7 +573,7 @@ class Simulator {
   std::vector<OriginationRecord> originations_;
   /// Roots watched for §3.7/§3.8 self-organised origination.
   std::vector<std::pair<Prefix, Attr>> agg_watch_;
-  /// Nodes currently leaking (ordered: leaking_nodes() is deterministic).
+  /// Nodes currently leaking.
   std::set<NodeId> leakers_;
   /// Active rogue (hijack) originations.
   std::set<std::pair<Prefix, NodeId>> rogues_;

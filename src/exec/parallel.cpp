@@ -37,23 +37,13 @@ void parallel_for(ThreadPool* pool, std::size_t n,
                         : std::min(n, workers * kChunksPerWorker);
   const auto ranges = static_chunks(n, chunk_count);
   const util::Rng base(opts.seed);
-  const bool want_metrics = opts.metrics_sink != nullptr;
 
-  // Runs one chunk on the (reused) lane shard.  The shard's write epoch is
-  // chunk+1 so gauge writes record chunk identity — the lane must hand the
-  // same shard strictly increasing chunk indices (the ticket guarantees
-  // it), otherwise a later-claimed lower chunk would clobber the
-  // accumulation of a higher one.
-  const auto run_chunk = [&](std::size_t c, obs::MetricsRegistry* shard) {
+  const auto run_chunk = [&](std::size_t c) {
     DRAGON_SPAN_ARG3("exec", "chunk", "chunk", c, "begin", ranges[c].first,
                      "items", ranges[c].second - ranges[c].first);
     TaskContext ctx;
     ctx.chunk = c;
     ctx.rng = base.fork_stream(c);
-    if (shard != nullptr) {
-      shard->set_write_epoch(c + 1);
-      ctx.metrics = shard;
-    }
     for (std::size_t i = ranges[c].first; i < ranges[c].second; ++i) {
       body(i, ctx);
     }
@@ -67,12 +57,9 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   std::size_t first_error_chunk = ranges.size();
 
   if (pool == nullptr) {
-    obs::MetricsRegistry local;
-    obs::MetricsRegistry* shard = want_metrics ? &local : nullptr;
-    if (shard != nullptr) shard->bind_writer();
     for (std::size_t c = 0; c < ranges.size(); ++c) {
       try {
-        run_chunk(c, shard);
+        run_chunk(c);
       } catch (...) {
         if (c < first_error_chunk) {
           first_error_chunk = c;
@@ -81,33 +68,24 @@ void parallel_for(ThreadPool* pool, std::size_t n,
       }
     }
     if (first_error) std::rethrow_exception(first_error);
-    if (want_metrics) {
-      DRAGON_SPAN_ARG("exec", "shard_merge", "shards", std::size_t{1});
-      local.release_writer();
-      opts.metrics_sink->merge_from(local);
-    }
     return;
   }
 
-  // One task per worker lane; lanes claim chunks off an atomic ticket.
-  // Each lane reuses one shard for all its chunks — no per-chunk registry
-  // allocation, no per-chunk queue round trip.
+  // One task per worker lane; lanes claim chunks off an atomic ticket, so
+  // there is no per-chunk queue round trip.
   const std::size_t lanes = std::min(workers, ranges.size());
-  std::vector<obs::MetricsRegistry> lane_shards(want_metrics ? lanes : 0);
   std::atomic<std::size_t> ticket{0};
   std::mutex error_mu;  // cold path: taken only when a chunk throws
 
   std::vector<std::future<void>> futures;
   futures.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    obs::MetricsRegistry* shard = want_metrics ? &lane_shards[lane] : nullptr;
-    futures.push_back(pool->submit([&, shard] {
-      if (shard != nullptr) shard->bind_writer();
+    futures.push_back(pool->submit([&] {
       for (;;) {
         const std::size_t c = ticket.fetch_add(1, std::memory_order_relaxed);
         if (c >= ranges.size()) break;
         try {
-          run_chunk(c, shard);
+          run_chunk(c);
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (c < first_error_chunk) {
@@ -116,7 +94,6 @@ void parallel_for(ThreadPool* pool, std::size_t n,
           }
         }
       }
-      if (shard != nullptr) shard->release_writer();
     }));
   }
 
@@ -128,15 +105,6 @@ void parallel_for(ThreadPool* pool, std::size_t n,
     for (auto& future : futures) future.get();
   }
   if (first_error) std::rethrow_exception(first_error);
-
-  if (want_metrics) {
-    DRAGON_SPAN_ARG("exec", "shard_merge", "shards", lanes);
-    obs::MetricsRegistry& combined = lane_shards[0];
-    for (std::size_t lane = 1; lane < lanes; ++lane) {
-      combined.merge_ordered_from(lane_shards[lane]);
-    }
-    opts.metrics_sink->merge_from(combined);
-  }
 }
 
 }  // namespace dragon::exec

@@ -2,8 +2,8 @@
 //
 // The contract that everything in this header upholds: **for a fixed
 // chunk count, results are bit-identical for any thread count, including
-// 1** (and for pool == nullptr, which runs inline).  Three rules make
-// that hold:
+// 1** (and for pool == nullptr, which runs inline).  Two rules make that
+// hold:
 //
 //   1. Static chunking.  [0, n) is split into a chunk list that is a pure
 //      function of (n, chunks) — never of runtime timing.  Chunks are the
@@ -13,35 +13,29 @@
 //      forked as Rng(opts.seed).fork_stream(chunk) — a pure function of
 //      (seed, chunk index), not of dispatch order — so stochastic bodies
 //      draw identical streams no matter how chunks interleave.
-//   3. Epoch-stamped per-worker metrics shards.  Each worker lane reuses
-//      ONE private MetricsRegistry for every chunk it claims (no
-//      per-chunk allocation); before a chunk runs, the shard's write
-//      epoch is set to chunk+1 so gauge writes record *which chunk* made
-//      them.  Shards combine via merge_ordered_from (highest-epoch gauge
-//      write wins; counters and histograms sum), which reproduces the
-//      sequential chunk-ordered merge no matter how chunks landed on
-//      lanes.  The combined shard is merged into opts.metrics_sink on the
-//      calling thread at join.
+//
+// Bodies that record metrics return a registry in their result (one per
+// index, see parallel_map) and the caller merges the results on its own
+// thread in index order with MetricsRegistry::merge_from; no registry is
+// ever shared between workers.
 //
 // Scheduling is an atomic chunk ticket: parallel_for submits one task per
 // worker lane (not per chunk), and each lane claims chunks with
 // fetch_add until the ticket runs dry.  Load balancing is automatic — a
-// lane stuck on a heavy chunk simply claims fewer — and each lane sees
-// strictly increasing chunk indices, which rule 3's epoch stamping relies
-// on.  Compared to one queued task per chunk this removes the per-chunk
+// lane stuck on a heavy chunk simply claims fewer.  Compared to one
+// queued task per chunk this removes the per-chunk
 // packaged_task/future/queue-mutex round trip from the hot path.
 //
 // Default granularity: when opts.chunks == 0 the chunk count adapts to
 // the pool — 1 chunk inline or on a 1-worker pool, else
 // min(n, workers * kChunksPerWorker).  The adaptive default therefore
-// DEPENDS on the pool size: bodies that consume ctx.rng or write
-// per-chunk-identity metrics and need cross-thread-count bit-identity
-// must pin opts.chunks explicitly (every stochastic caller in-tree does).
+// DEPENDS on the pool size: bodies that consume ctx.rng or ctx.chunk and
+// need cross-thread-count bit-identity must pin opts.chunks explicitly
+// (every stochastic caller in-tree does).
 //
 // Exception propagation: if any chunk body throws, every chunk still
 // runs, then parallel_for rethrows the lowest-indexed failing chunk's
-// exception (stable error reporting across thread counts) and the
-// metrics sink is left untouched (partial merges would be ambiguous).
+// exception (stable error reporting across thread counts).
 // See DESIGN.md §8 ("Parallel execution runtime").
 #pragma once
 
@@ -52,7 +46,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dragon::exec {
@@ -63,9 +56,6 @@ struct TaskContext {
   std::size_t chunk = 0;
   /// The chunk's private RNG stream: Rng(seed).fork_stream(chunk).
   util::Rng rng{0};
-  /// The worker lane's metrics shard, epoch-stamped to this chunk;
-  /// nullptr when no sink was given.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 struct ParallelOptions {
@@ -77,10 +67,6 @@ struct ParallelOptions {
   std::size_t chunks = 0;
   /// Base seed for the per-chunk RNG streams.
   std::uint64_t seed = 0;
-  /// When set, each worker lane gets a private registry shard; the
-  /// epoch-ordered combination of all shards is merged into this sink
-  /// after the join.
-  obs::MetricsRegistry* metrics_sink = nullptr;
 };
 
 /// Chunks per worker under the adaptive default: enough slack for the
@@ -89,8 +75,7 @@ struct ParallelOptions {
 inline constexpr std::size_t kChunksPerWorker = 8;
 
 /// Pool-size-independent chunk count for callers that pin their chunking
-/// (e.g. the data-plane lookup server's shard planner).  No longer the
-/// parallel_for default — see ParallelOptions::chunks.
+/// (the data-plane lookup server's shard planner).
 inline constexpr std::size_t kDefaultChunks = 64;
 
 /// Splits [0, n) into at most `chunks` contiguous [begin, end) ranges of

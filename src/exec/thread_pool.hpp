@@ -3,10 +3,9 @@
 // The pool is deliberately minimal: a bounded set of workers, a FIFO task
 // queue, futures for results and exception propagation, and a graceful
 // shutdown that still runs every task queued before shutdown() was called.
-// All *determinism* machinery (static chunking, per-task RNG forking,
-// per-thread metrics shards) lives one layer up in exec/parallel.hpp — the
-// pool itself only promises that every submitted task runs exactly once on
-// some worker thread.
+// All *determinism* machinery (static chunking, per-chunk RNG forking)
+// lives one layer up in exec/parallel.hpp — the pool itself only promises
+// that every submitted task runs exactly once on some worker thread.
 //
 // Oversubscription guard: because the runtime's results never depend on
 // the worker count, spawning more workers than the machine has cores can

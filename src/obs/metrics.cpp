@@ -146,15 +146,13 @@ void append_number(std::string& out, std::uint64_t v) {
 MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept
     : counters_(std::move(other.counters_)),
       gauges_(std::move(other.gauges_)),
-      histograms_(std::move(other.histograms_)),
-      write_epoch_(std::move(other.write_epoch_)) {}
+      histograms_(std::move(other.histograms_)) {}
 
 MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
   if (this != &other) {
     counters_ = std::move(other.counters_);
     gauges_ = std::move(other.gauges_);
     histograms_ = std::move(other.histograms_);
-    write_epoch_ = std::move(other.write_epoch_);
     writer_.store(0, std::memory_order_relaxed);
   }
   return *this;
@@ -173,29 +171,17 @@ std::uint64_t writer_token() noexcept {
 
 }  // namespace
 
-void MetricsRegistry::bind_writer() noexcept {
-#ifndef NDEBUG
-  writer_.store(writer_token(), std::memory_order_relaxed);
-#endif
-}
-
-void MetricsRegistry::release_writer() noexcept {
-#ifndef NDEBUG
-  writer_.store(0, std::memory_order_relaxed);
-#endif
-}
-
 void MetricsRegistry::assert_writer() noexcept {
 #ifndef NDEBUG
   // First mutator claims the registry; later mutations must come from the
-  // same thread until release_writer()/bind_writer() hands it over.
+  // same thread (a move hands the maps to a new, unclaimed registry).
   std::uint64_t expected = 0;
   const std::uint64_t self = writer_token();
   if (!writer_.compare_exchange_strong(expected, self,
                                        std::memory_order_relaxed)) {
     assert(expected == self &&
            "MetricsRegistry: second writer thread on an unshared registry "
-           "(sharded-registry contract, DESIGN.md §8)");
+           "(threading contract, DESIGN.md §6)");
   }
 #endif
 }
@@ -207,14 +193,7 @@ Counter* MetricsRegistry::counter(std::string_view name) {
 
 Gauge* MetricsRegistry::gauge(std::string_view name) {
   assert_writer();
-  Gauge* g = get_or_create(gauges_, name);
-  g->epoch_src_ = write_epoch_.get();
-  return g;
-}
-
-void MetricsRegistry::set_write_epoch(std::uint64_t epoch) noexcept {
-  assert_writer();
-  if (write_epoch_ != nullptr) *write_epoch_ = epoch;
+  return get_or_create(gauges_, name);
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name) {
@@ -247,23 +226,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
   for (const auto& [name, g] : other.gauges_) {
     gauge(name)->set(g->value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histogram(name)->merge_from(*h);
-  }
-}
-
-void MetricsRegistry::merge_ordered_from(const MetricsRegistry& other) {
-  assert_writer();
-  for (const auto& [name, c] : other.counters_) {
-    counter(name)->inc(c->value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    Gauge* mine = gauge(name);
-    if (g->epoch_ >= mine->epoch_) {
-      mine->value_ = g->value_;
-      mine->epoch_ = g->epoch_;
-    }
   }
   for (const auto& [name, h] : other.histograms_) {
     histogram(name)->merge_from(*h);
@@ -358,15 +320,6 @@ std::string MetricsRegistry::to_json() const {
   }
   out += "}}";
   return out;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace dragon::obs

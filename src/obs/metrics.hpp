@@ -38,49 +38,15 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Gauges carry a *write epoch* alongside the value: every mutation
-/// stamps the owning registry's current epoch (see
-/// MetricsRegistry::set_write_epoch).  Outside the parallel runtime the
-/// epoch stays 0 and gauges behave exactly as before; inside
-/// exec::parallel_for the epoch is the chunk index, which is what makes
-/// out-of-order shard merges reproduce the chunk-ordered result
-/// (merge_ordered_from keeps the highest-epoch write).  add() starting a
-/// new epoch resets the accumulation first, reproducing the
-/// fresh-shard-per-chunk semantics the runtime used to get from
-/// allocating a registry per chunk.
 class Gauge {
  public:
-  void set(double v) noexcept {
-    value_ = v;
-    epoch_ = current_epoch();
-  }
-  void add(double d) noexcept {
-    const std::uint64_t e = current_epoch();
-    if (e != epoch_) {
-      value_ = 0.0;
-      epoch_ = e;
-    }
-    value_ += d;
-  }
-  void reset() noexcept {
-    value_ = 0.0;
-    epoch_ = 0;
-  }
+  void set(double v) noexcept { value_ = v; }
+  void add(double d) noexcept { value_ += d; }
+  void reset() noexcept { value_ = 0.0; }
   [[nodiscard]] double value() const noexcept { return value_; }
 
  private:
-  friend class MetricsRegistry;
-
-  [[nodiscard]] std::uint64_t current_epoch() const noexcept {
-    return epoch_src_ == nullptr ? 0 : *epoch_src_;
-  }
-
   double value_ = 0.0;
-  /// Epoch of the last write; 0 = never written under a nonzero epoch.
-  std::uint64_t epoch_ = 0;
-  /// The owning registry's epoch cell (heap-stable across registry
-  /// moves); nullptr only for a moved-from registry's new gauges.
-  const std::uint64_t* epoch_src_ = nullptr;
 };
 
 class Histogram {
@@ -133,13 +99,13 @@ class Histogram {
 /// Named metrics, created on first use; handles stay valid for the
 /// registry's lifetime.
 ///
-/// Threading contract (the sharded-registry contract, DESIGN.md §8): a
-/// registry has at most ONE writer thread at a time; the hot path stays a
-/// plain integer add with no locks.  Parallel code gives every task its
-/// own shard registry and merges shards on the joining thread
-/// (exec::parallel_for).  Debug builds enforce the contract: every
-/// mutating entry point asserts the calling thread matches the thread
-/// that first mutated the registry since the last bind/release.
+/// Threading contract (DESIGN.md §6): a registry has ONE writer thread,
+/// the first thread that mutates it; the hot path stays a plain integer
+/// add with no locks.  Parallel work never shares a registry: each task
+/// fills its own and returns it in its result, and the calling thread
+/// merges the results in index order with merge_from.  Debug builds
+/// enforce the contract: every mutating entry point asserts the calling
+/// thread is the writer.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -153,14 +119,6 @@ class MetricsRegistry {
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
-
-  /// Claims the current thread as the registry's single writer (debug
-  /// builds; release no-op).  parallel_for calls this when handing a
-  /// shard to a worker so a stray second writer asserts immediately.
-  void bind_writer() noexcept;
-  /// Releases the writer claim so another thread may take over (e.g. the
-  /// joining thread merging a shard a worker filled).
-  void release_writer() noexcept;
 
   /// Read-only lookup; nullptr when the metric does not exist.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
@@ -176,21 +134,6 @@ class MetricsRegistry {
   /// overwrites gauges with `other`'s values.  Used by benches to
   /// aggregate per-trial registries.
   void merge_from(const MetricsRegistry& other);
-
-  /// Epoch-ordered variant for the parallel runtime's per-worker shards:
-  /// counters and histograms sum as in merge_from, but a gauge is only
-  /// overwritten when `other`'s write epoch is >= this registry's — so
-  /// merging worker shards in *any* order yields the value written by the
-  /// highest-epoch (i.e. highest chunk index) writer, bit-identical to
-  /// the sequential chunk-ordered merge.  Gauges never written under a
-  /// nonzero epoch (epoch 0) lose to any real write.
-  void merge_ordered_from(const MetricsRegistry& other);
-
-  /// Sets the epoch stamped onto subsequent gauge writes (see Gauge).
-  /// exec::parallel_for sets `chunk + 1` before running each chunk body
-  /// on a reusable worker shard; 0 (the default) restores plain
-  /// last-writer-wins behaviour.
-  void set_write_epoch(std::uint64_t epoch) noexcept;
 
   /// Full value state (names + values) for simulator snapshot/restore.
   struct Snapshot {
@@ -209,8 +152,6 @@ class MetricsRegistry {
   ///    "histograms":{name:{count,sum,min,max,mean,p50,p90,p99,
   ///                        buckets:[{"lo":..,"hi":..,"n":..},...]},...}}
   [[nodiscard]] std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   /// Debug-build single-writer check (the first mutator binds).
@@ -219,10 +160,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  /// Heap cell so gauge handles stay valid across registry moves (the
-  /// unique_ptr moves, the pointee address does not).
-  std::unique_ptr<std::uint64_t> write_epoch_ =
-      std::make_unique<std::uint64_t>(0);
   /// The single writer's token, 0 when unclaimed.  Declared in every
   /// build so the object layout does not depend on NDEBUG (translation
   /// units compiled with and without it share registries); only debug

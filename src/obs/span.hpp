@@ -2,11 +2,10 @@
 //
 // The protocol tracer (obs/trace.hpp) records *what the protocol did*;
 // this layer records *where the threads spent their time* — chunk
-// execution vs. idle vs. shard merge vs. ordered-commit wait — so a
-// scaling regression decomposes into attributable seconds instead of a
-// single speedup ratio.
+// execution vs. idle vs. ordered-commit wait — so a scaling regression
+// decomposes into attributable seconds instead of a single speedup ratio.
 //
-// Design (mirrors the DESIGN.md §8 sharding contract):
+// Design (one writer per buffer, like a metrics registry, DESIGN.md §6):
 //   * Per-thread fixed-capacity ring buffers.  Every thread writes spans
 //     only into its own buffer — no locks, no CAS on the hot path; the
 //     single cross-thread handoff is a release store of the push count.

@@ -99,7 +99,6 @@ class EventTracer {
   /// Opens `path` as the JSONL sink (truncates).  Returns false on I/O
   /// failure.  The file is closed on destruction or re-open.
   bool open_sink(const std::string& path);
-  [[nodiscard]] bool has_sink() const noexcept { return sink_ != nullptr; }
 
   void record(double sim_time, EventKind kind, std::uint32_t node);
   void record(double sim_time, EventKind kind, std::uint32_t node,

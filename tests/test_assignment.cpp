@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -41,11 +42,32 @@ TEST(Assignment, DeterministicPerSeed) {
 TEST(Assignment, EveryAsAnnouncesSomething) {
   const auto topo = small_topo(2);
   const auto assignment = generate_assignment(topo, {});
+  EXPECT_EQ(assignment.pool_exhausted, 0u);
   std::vector<int> per_as(topo.graph.node_count(), 0);
   for (NodeId u : assignment.origin) ++per_as[u];
   for (NodeId u = 0; u < topo.graph.node_count(); ++u) {
     EXPECT_GE(per_as[u], 1) << "AS " << u;
   }
+}
+
+TEST(Assignment, PoolExhaustionIsCounted) {
+  // 5,200 transits draw /12-/17 primaries until the regional pools run
+  // dry.  Every AS left without a primary block is counted, so no AS
+  // announces nothing without showing up in the count (a counted AS may
+  // still announce later blocks).
+  GeneratorParams params;
+  params.tier1_count = 8;
+  params.transit_count = 5200;
+  params.stub_count = 0;
+  params.seed = 1;
+  const auto topo = topology::generate_internet(params);
+  const auto assignment = generate_assignment(topo, {});
+  EXPECT_GT(assignment.pool_exhausted, 0u);
+  std::vector<bool> announces(topo.graph.node_count(), false);
+  for (NodeId u : assignment.origin) announces[u] = true;
+  EXPECT_LE(static_cast<std::size_t>(
+                std::count(announces.begin(), announces.end(), false)),
+            assignment.pool_exhausted);
 }
 
 TEST(Assignment, CleanByConstruction) {

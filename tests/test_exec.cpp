@@ -1,9 +1,10 @@
 // Parallel execution runtime tests (DESIGN.md §8): thread-pool lifecycle,
-// the determinism contract of parallel_for / fork_stream / metrics shard
-// merging across thread counts, and parallel-vs-sequential equality for
-// the wired subsystems (GR sweeps, the generic solver, chaos schedule
-// sweeps).  The ExecSmoke suite is the `exec_smoke` ctest entry and the
-// tsan-exec-smoke preset filter.
+// the determinism contract of parallel_for / fork_stream across thread
+// counts, and parallel-vs-sequential equality for the wired subsystems
+// (GR sweeps, the generic solver, chaos schedule sweeps, whose
+// per-schedule metrics registries travel back in the results).  The
+// ExecSmoke suite is the `exec_smoke` ctest entry and the tsan-exec-smoke
+// preset filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,6 @@
 #include "chaos/sweep.hpp"
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/metrics.hpp"
 #include "paper_networks.hpp"
 #include "routecomp/generic_solver.hpp"
 #include "routecomp/gr_sweep.hpp"
@@ -176,38 +176,28 @@ TEST(ExecSmoke, ForkStreamIsPureAndPerStream) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_for determinism (RNG streams + metrics shards)
+// parallel_for determinism (RNG streams + chunk identity)
 // ---------------------------------------------------------------------------
 
 struct ParallelRun {
   std::vector<std::uint64_t> values;
-  std::string metrics_json;
+  std::vector<std::size_t> chunk_of;
 };
 
 ParallelRun run_stochastic_loop(ThreadPool* pool, std::size_t n) {
   ParallelRun run;
   run.values.assign(n, 0);
-  obs::MetricsRegistry sink;
+  run.chunk_of.assign(n, 0);
   ParallelOptions opts;
   opts.chunks = 16;  // fixed: must not depend on the thread count
   opts.seed = 99;
-  opts.metrics_sink = &sink;
   parallel_for(
       pool, n,
       [&run](std::size_t i, TaskContext& ctx) {
-        const std::uint64_t draw = ctx.rng();
-        run.values[i] = draw ^ (i * 0x9E3779B97F4A7C15ULL);
-        ctx.metrics->counter("exec.test.items")->inc();
-        ctx.metrics->histogram("exec.test.low3")->observe(draw & 7);
-        ctx.metrics->gauge("exec.test.last_chunk")
-            ->set(static_cast<double>(ctx.chunk));
-        // Accumulating gauge: restarts per chunk (fresh-shard semantics),
-        // so the merged value is the LAST chunk's item count — identical
-        // for any thread count or shard layout.
-        ctx.metrics->gauge("exec.test.chunk_items")->add(1.0);
+        run.values[i] = ctx.rng() ^ (i * 0x9E3779B97F4A7C15ULL);
+        run.chunk_of[i] = ctx.chunk;
       },
       opts);
-  run.metrics_json = sink.to_json();
   return run;
 }
 
@@ -218,33 +208,21 @@ TEST(ExecSmoke, ParallelForIsThreadCountInvariant) {
     ThreadPool pool(threads);
     const ParallelRun run = run_stochastic_loop(&pool, kN);
     EXPECT_EQ(run.values, inline_run.values) << threads << " threads";
-    EXPECT_EQ(run.metrics_json, inline_run.metrics_json)
-        << threads << " threads";
+    EXPECT_EQ(run.chunk_of, inline_run.chunk_of) << threads << " threads";
   }
-  // Sanity on the merged shards: every item counted exactly once, and the
-  // gauge holds the last chunk's value (merge is in chunk order).
-  obs::MetricsRegistry sink;
-  ParallelOptions opts;
-  opts.chunks = 16;
-  opts.seed = 99;
-  opts.metrics_sink = &sink;
-  ThreadPool pool(8);
-  parallel_for(
-      &pool, kN,
-      [](std::size_t, TaskContext& ctx) {
-        ctx.metrics->counter("exec.test.items")->inc();
-        ctx.metrics->gauge("exec.test.last_chunk")
-            ->set(static_cast<double>(ctx.chunk));
-      },
-      opts);
-  EXPECT_EQ(sink.find_counter("exec.test.items")->value(), kN);
-  EXPECT_DOUBLE_EQ(sink.find_gauge("exec.test.last_chunk")->value(), 15.0);
+  // Every index ran in the chunk static_chunks assigns it.
+  const auto ranges = static_chunks(kN, 16);
+  for (std::size_t c = 0; c < ranges.size(); ++c) {
+    for (std::size_t i = ranges[c].first; i < ranges[c].second; ++i) {
+      EXPECT_EQ(inline_run.chunk_of[i], c) << "index " << i;
+    }
+  }
 }
 
 TEST(ExecSmoke, TicketSchedulerDeterministicAcrossThreadsAndRepeats) {
   // The ticket scheduler assigns chunks to lanes by claim order, which
   // varies run to run — results must not.  Every thread count and every
-  // repeat must reproduce the inline run bit-for-bit, metrics included.
+  // repeat must reproduce the inline run bit-for-bit.
   constexpr std::size_t kN = 300;
   const ParallelRun reference = run_stochastic_loop(nullptr, kN);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -253,7 +231,7 @@ TEST(ExecSmoke, TicketSchedulerDeterministicAcrossThreadsAndRepeats) {
       const ParallelRun run = run_stochastic_loop(&pool, kN);
       EXPECT_EQ(run.values, reference.values)
           << threads << " threads, repeat " << repeat;
-      EXPECT_EQ(run.metrics_json, reference.metrics_json)
+      EXPECT_EQ(run.chunk_of, reference.chunk_of)
           << threads << " threads, repeat " << repeat;
     }
   }
@@ -316,24 +294,6 @@ TEST(ExecSmoke, LowestChunkExceptionWins) {
   for (int repeat = 0; repeat < 4; ++repeat) {
     EXPECT_EQ(failing_run(&pool), "chunk2") << "repeat " << repeat;
   }
-}
-
-TEST(ExecSmoke, ParallelForExceptionLeavesSinkUntouched) {
-  ThreadPool pool(4);
-  obs::MetricsRegistry sink;
-  ParallelOptions opts;
-  opts.chunks = 8;
-  opts.metrics_sink = &sink;
-  EXPECT_THROW(
-      parallel_for(
-          &pool, 100,
-          [](std::size_t i, TaskContext& ctx) {
-            ctx.metrics->counter("exec.test.items")->inc();
-            if (i == 37) throw std::runtime_error("body failed");
-          },
-          opts),
-      std::runtime_error);
-  EXPECT_EQ(sink.find_counter("exec.test.items"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -189,68 +189,9 @@ TEST(MetricsRegistry, MergeSumsCountersOverwritesGauges) {
   EXPECT_EQ(a.find_histogram("h")->count(), 1u);
 }
 
-TEST(MetricsRegistry, MergeOrderedKeepsHighestEpochGauge) {
-  // merge_ordered_from resolves gauge conflicts by write epoch, not merge
-  // order: the shard that wrote during the later chunk wins even when it
-  // is merged first.
-  MetricsRegistry early, late, sink_a, sink_b;
-  early.set_write_epoch(3);
-  early.gauge("g")->set(30.0);
-  late.set_write_epoch(7);
-  late.gauge("g")->set(70.0);
-
-  sink_a.merge_ordered_from(early);
-  sink_a.merge_ordered_from(late);
-  sink_b.merge_ordered_from(late);
-  sink_b.merge_ordered_from(early);
-  EXPECT_DOUBLE_EQ(sink_a.find_gauge("g")->value(), 70.0);
-  EXPECT_DOUBLE_EQ(sink_b.find_gauge("g")->value(), 70.0);
-}
-
-TEST(MetricsRegistry, MergeOrderedNeverWrittenGaugeLoses) {
-  // A gauge created but never set carries epoch 0 and must not clobber a
-  // real write from another shard, regardless of merge order.
-  MetricsRegistry written, untouched, sink;
-  written.set_write_epoch(1);
-  written.gauge("g")->set(5.0);
-  untouched.gauge("g");  // registered, never written
-
-  sink.merge_ordered_from(untouched);
-  sink.merge_ordered_from(written);
-  sink.merge_ordered_from(untouched);
-  EXPECT_DOUBLE_EQ(sink.find_gauge("g")->value(), 5.0);
-}
-
-TEST(MetricsRegistry, MergeOrderedSumsCountersAndHistograms) {
-  MetricsRegistry a, b;
-  a.counter("c")->inc(10);
-  a.histogram("h")->observe(4);
-  b.set_write_epoch(2);
-  b.counter("c")->inc(5);
-  b.histogram("h")->observe(9);
-  a.merge_ordered_from(b);
-  EXPECT_EQ(a.find_counter("c")->value(), 15u);
-  EXPECT_EQ(a.find_histogram("h")->count(), 2u);
-  EXPECT_EQ(a.find_histogram("h")->max(), 9u);
-}
-
-TEST(MetricsRegistry, GaugeAddRestartsAccumulationOnEpochChange) {
-  // Under the epoch scheme, add() reproduces fresh-shard-per-chunk
-  // accumulation: the first add after an epoch bump starts from zero.
-  MetricsRegistry reg;
-  reg.set_write_epoch(1);
-  reg.gauge("acc")->add(2.0);
-  reg.gauge("acc")->add(3.0);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("acc")->value(), 5.0);
-  reg.set_write_epoch(2);
-  reg.gauge("acc")->add(4.0);  // new chunk: restarts, does not reach 9.0
-  EXPECT_DOUBLE_EQ(reg.find_gauge("acc")->value(), 4.0);
-}
-
-TEST(MetricsRegistry, EpochZeroRestoresPlainGaugeSemantics) {
-  // With the write epoch left at 0 (the default), set/add behave exactly
-  // as before the epoch layer existed, and plain merge_from is
-  // last-writer-wins.
+TEST(MetricsRegistry, GaugeAddAccumulatesAndMergeOverwrites) {
+  // add() accumulates across calls, and merge_from is last-writer-wins
+  // for gauges.
   MetricsRegistry a, b;
   a.gauge("g")->add(1.0);
   a.gauge("g")->add(2.0);

@@ -3,11 +3,10 @@
 
 Reads a trace-event JSON produced by ``--span-trace`` (see
 src/obs/trace_export.hpp) and attributes every thread's wall-clock to
-one of four buckets, using innermost-span self-time so nested spans
+one of three buckets, using innermost-span self-time so nested spans
 never double-count::
 
     idle     pool/idle            worker blocked waiting for work
-    merge    exec/shard_merge     per-chunk metrics shards folded in
     commit   exec/commit_wait     ordered join / in-order trial commits
              bench/commit
     compute  everything else      chunk bodies, trials, engine drains
@@ -16,7 +15,7 @@ The report prints a per-thread table (with attribution coverage: the
 fraction of the thread's active window covered by spans), a concurrency
 profile of the compute bucket (how much wall-clock had k threads
 computing at once), and the derived decomposition: serial fraction,
-average parallelism, worker imbalance, merge/commit overhead.
+average parallelism, worker imbalance, commit overhead.
 
 ``--check`` turns the tool into a validator for CI smoke tests: it
 verifies the document structure (metadata rows, complete events, proper
@@ -34,12 +33,11 @@ import json
 import sys
 from collections import defaultdict
 
-BUCKETS = ("compute", "idle", "merge", "commit")
+BUCKETS = ("compute", "idle", "commit")
 
 # (cat, name) -> bucket; anything unlisted is compute.
 BUCKET_OF = {
     ("pool", "idle"): "idle",
-    ("exec", "shard_merge"): "merge",
     ("exec", "commit_wait"): "commit",
     ("bench", "commit"): "commit",
 }
@@ -235,8 +233,8 @@ def print_report(doc, threads, analysis, top):
                  ", ".join("%s=%s" % kv for kv in sorted(dropped.items()))))
 
     print("\nper-thread attribution (seconds):")
-    print("  %-18s %7s %10s %10s %10s %10s %10s %10s %10s  %s"
-          % ("thread", "spans", "compute", "idle", "merge", "commit",
+    print("  %-18s %7s %10s %10s %10s %10s %10s %10s  %s"
+          % ("thread", "spans", "compute", "idle", "commit",
              "cpu", "desched", "window", "coverage"))
     totals = dict.fromkeys(BUCKETS, 0)
     cpu_total = desched_total = 0
@@ -245,11 +243,10 @@ def print_report(doc, threads, analysis, top):
             totals[b] += t["time"][b]
         cpu_total += t["cpu"]
         desched_total += t["desched"]
-        print("  %-18s %7d %s %s %s %s %s %s %s  %6.1f%%"
+        print("  %-18s %7d %s %s %s %s %s %s  %6.1f%%"
               % (t["name"], t["spans"], fmt_s(t["time"]["compute"]),
-                 fmt_s(t["time"]["idle"]), fmt_s(t["time"]["merge"]),
-                 fmt_s(t["time"]["commit"]), fmt_s(t["cpu"]),
-                 fmt_s(t["desched"]), fmt_s(t["window"]),
+                 fmt_s(t["time"]["idle"]), fmt_s(t["time"]["commit"]),
+                 fmt_s(t["cpu"]), fmt_s(t["desched"]), fmt_s(t["window"]),
                  100.0 * t["coverage"]))
 
     profile = analysis["profile"]
@@ -283,7 +280,6 @@ def print_report(doc, threads, analysis, top):
     print("  worker imbalance:  %s s  (max-min compute%s)"
           % (fmt_s(imbalance).strip(),
              "" if workers else "; no pool workers in trace"))
-    print("  merge overhead:    %s s" % fmt_s(totals["merge"]).strip())
     print("  commit/wait:       %s s" % fmt_s(totals["commit"]).strip())
     print("  idle (all threads):%s s" % fmt_s(totals["idle"]).strip())
     print("  thread cpu:        %s s  (sum of root-span thread CPU)"
