@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
       const auto grand = dirty.providers(b);
       if (grand.empty()) continue;
       const auto c = grand[rng.below(grand.size())];
+      // Both spans are read before the link below invalidates them.
       if (c != a && !dirty.linked(a, c)) {
         dirty.add_provider_customer(a, c);
         ++injected_cycles;

@@ -22,11 +22,8 @@ std::vector<NodeId> pd_order(const topology::Topology& topo,
   std::vector<std::uint32_t> pending(n, 0);
   for (NodeId u = 0; u < n; ++u) {
     if (q_state.cls[u] != routecomp::kCustomer) continue;
-    for (const auto& nb : topo.neighbors(u)) {
-      if (nb.rel == topology::Rel::kProvider &&
-          q_state.cls[nb.id] == routecomp::kCustomer) {
-        ++pending[u];
-      }
+    for (const NodeId p : topo.providers(u)) {
+      if (q_state.cls[p] == routecomp::kCustomer) ++pending[u];
     }
   }
   std::vector<NodeId> ready;
@@ -39,11 +36,9 @@ std::vector<NodeId> pd_order(const topology::Topology& topo,
     const NodeId u = ready.back();
     ready.pop_back();
     order.push_back(u);
-    for (const auto& nb : topo.neighbors(u)) {
-      if (nb.rel == topology::Rel::kCustomer &&
-          q_state.cls[nb.id] == routecomp::kCustomer &&
-          --pending[nb.id] == 0) {
-        ready.push_back(nb.id);
+    for (const NodeId c : topo.customers(u)) {
+      if (q_state.cls[c] == routecomp::kCustomer && --pending[c] == 0) {
+        ready.push_back(c);
       }
     }
   }

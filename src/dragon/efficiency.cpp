@@ -83,11 +83,11 @@ bool every_node_routed(const topology::Topology& topo) {
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
-    for (const auto& nb : topo.neighbors(u)) {
-      if (nb.rel != topology::Rel::kCustomer || reached[nb.id]) continue;
-      reached[nb.id] = 1;
+    for (const NodeId c : topo.customers(u)) {
+      if (reached[c]) continue;
+      reached[c] = 1;
       ++count;
-      stack.push_back(nb.id);
+      stack.push_back(c);
     }
   }
   return count == topo.node_count();

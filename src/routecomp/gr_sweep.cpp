@@ -1,14 +1,12 @@
 #include "routecomp/gr_sweep.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "exec/parallel.hpp"
 
 namespace dragon::routecomp {
 
 using topology::NodeId;
-using topology::Rel;
 using topology::Topology;
 
 GrStableState gr_sweep_multi(const Topology& topo,
@@ -28,41 +26,41 @@ GrStableState gr_sweep_multi(const Topology& topo,
 
   // Phase 1: customer routes.  Multi-source BFS upward: a node elects a
   // customer route iff some origin is in its customer cone through a chain
-  // of announcing nodes; BFS depth = AS-path length.
-  std::deque<NodeId> queue;
+  // of announcing nodes; BFS depth = AS-path length.  `region` is the BFS
+  // queue and ends up holding every node routed by phases 1 and 2.
+  std::vector<NodeId> region;
   for (NodeId o : origins) {
     if (state.cls[o] == kCustomer) continue;
     state.cls[o] = kCustomer;
     state.dist[o] = 0;
-    queue.push_back(o);
+    region.push_back(o);
   }
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    const NodeId v = region[i];
     if (!announces(v)) continue;
-    for (const auto& nb : topo.neighbors(v)) {
-      if (nb.rel != Rel::kProvider) continue;  // v announces up to providers
-      if (state.cls[nb.id] == kCustomer) continue;
-      state.cls[nb.id] = kCustomer;
-      state.dist[nb.id] = static_cast<std::uint16_t>(state.dist[v] + 1);
-      queue.push_back(nb.id);
+    for (const NodeId p : topo.providers(v)) {  // v announces up
+      if (state.cls[p] == kCustomer) continue;
+      state.cls[p] = kCustomer;
+      state.dist[p] = static_cast<std::uint16_t>(state.dist[v] + 1);
+      region.push_back(p);
     }
   }
 
   // Phase 2: peer routes: nodes without a customer route whose announcing
-  // peer elects a customer route; path length = peer's length + 1.
-  for (NodeId u = 0; u < n; ++u) {
-    if (state.cls[u] == kCustomer) continue;
-    std::uint16_t best = kInfiniteDistance;
-    for (const auto& nb : topo.neighbors(u)) {
-      if (nb.rel != Rel::kPeer || state.cls[nb.id] != kCustomer) continue;
-      if (!announces(nb.id)) continue;
-      best = std::min<std::uint16_t>(
-          best, static_cast<std::uint16_t>(state.dist[nb.id] + 1));
-    }
-    if (best != kInfiniteDistance) {
-      state.cls[u] = kPeer;
-      state.dist[u] = best;
+  // peer elects a customer route; path length = the shortest such peer's
+  // length + 1.  Only the upset's peer links can carry one.
+  const std::size_t upset = region.size();
+  for (std::size_t i = 0; i < upset; ++i) {
+    const NodeId v = region[i];
+    if (!announces(v)) continue;
+    const auto cand = static_cast<std::uint16_t>(state.dist[v] + 1);
+    for (const NodeId u : topo.peers(v)) {
+      if (state.cls[u] == kCustomer) continue;
+      if (state.cls[u] == kUnreachableClass) {
+        state.cls[u] = kPeer;
+        region.push_back(u);
+      }
+      state.dist[u] = std::min(state.dist[u], cand);
     }
   }
 
@@ -75,18 +73,14 @@ GrStableState gr_sweep_multi(const Topology& topo,
     if (buckets.size() <= d) buckets.resize(static_cast<std::size_t>(d) + 1);
     buckets[d].push_back(u);
   };
-  for (NodeId u = 0; u < n; ++u) {
-    if (state.cls[u] != kUnreachableClass) bucket_push(u, state.dist[u]);
-  }
+  for (const NodeId u : region) bucket_push(u, state.dist[u]);
   for (std::size_t d = 0; d < buckets.size(); ++d) {
     // buckets may grow while iterating; index-based loops throughout.
     for (std::size_t i = 0; i < buckets[d].size(); ++i) {
       const NodeId v = buckets[d][i];
       if (state.dist[v] != d) continue;  // superseded entry
       if (!announces(v)) continue;
-      for (const auto& nb : topo.neighbors(v)) {
-        if (nb.rel != Rel::kCustomer) continue;  // v announces down
-        const NodeId u = nb.id;
+      for (const NodeId u : topo.customers(v)) {  // v announces down
         if (state.cls[u] == kCustomer || state.cls[u] == kPeer) continue;
         const auto cand = static_cast<std::uint16_t>(d + 1);
         if (state.cls[u] == kProvider && state.dist[u] <= cand) continue;
@@ -113,19 +107,19 @@ std::vector<RegionNode> GrRegionBuilder::build(
     region.push_back({o, kCustomer});
   }
   for (std::size_t i = 0; i < region.size(); ++i) {
-    for (const auto& nb : topo_.neighbors(region[i].id)) {
-      if (nb.rel != Rel::kProvider || mark_[nb.id] == kCustomer) continue;
-      mark_[nb.id] = kCustomer;
-      region.push_back({nb.id, kCustomer});
+    for (const NodeId p : topo_.providers(region[i].id)) {
+      if (mark_[p] == kCustomer) continue;
+      mark_[p] = kCustomer;
+      region.push_back({p, kCustomer});
     }
   }
   // Phase 2: the upset's peers outside it elect peer routes.
   const std::size_t upset = region.size();
   for (std::size_t i = 0; i < upset; ++i) {
-    for (const auto& nb : topo_.neighbors(region[i].id)) {
-      if (nb.rel != Rel::kPeer || mark_[nb.id] != kProvider) continue;
-      mark_[nb.id] = kPeer;
-      region.push_back({nb.id, kPeer});
+    for (const NodeId u : topo_.peers(region[i].id)) {
+      if (mark_[u] != kProvider) continue;
+      mark_[u] = kPeer;
+      region.push_back({u, kPeer});
     }
   }
   for (const RegionNode& r : region) mark_[r.id] = kProvider;
@@ -151,38 +145,53 @@ std::vector<GrStableState> gr_sweep_batch(const Topology& topo,
       });
 }
 
+namespace {
+
+/// The neighbours u's elected route can come from: a customer route is
+/// learned from customers, a peer route from peers, a provider route from
+/// providers.
+std::span<const NodeId> learned_over(const Topology& topo,
+                                     const GrStableState& state, NodeId u) {
+  switch (state.cls[u]) {
+    case kCustomer:
+      return topo.customers(u);
+    case kPeer:
+      return topo.peers(u);
+    default:
+      return topo.providers(u);
+  }
+}
+
+/// True if the route u learns from v (a neighbour in learned_over) is u's
+/// elected route: one hop longer, and exported to u.  Customers and peers
+/// export only customer routes; providers export every route.
+bool forwards(const GrStableState& state, NodeId u, NodeId v) {
+  if (state.cls[v] == kUnreachableClass) return false;
+  if (state.dist[v] + 1 != state.dist[u]) return false;
+  return state.cls[u] == kProvider || state.cls[v] == kCustomer;
+}
+
+}  // namespace
+
 std::vector<NodeId> forwarding_neighbors(const Topology& topo,
                                          const GrStableState& state,
                                          NodeId u) {
   std::vector<NodeId> out;
   if (state.is_origin(u) || state.cls[u] == kUnreachableClass) return out;
-  for (const auto& nb : topo.neighbors(u)) {
-    const NodeId v = nb.id;
-    if (state.cls[v] == kUnreachableClass) continue;
-    if (state.dist[v] + 1 != state.dist[u]) continue;
-    // The candidate route u learns from v must have u's elected class.
-    bool matches = false;
-    switch (nb.rel) {
-      case Rel::kCustomer:
-        matches = state.cls[u] == kCustomer && state.cls[v] == kCustomer;
-        break;
-      case Rel::kPeer:
-        matches = state.cls[u] == kPeer && state.cls[v] == kCustomer;
-        break;
-      case Rel::kProvider:
-        matches = state.cls[u] == kProvider;
-        break;
-    }
-    if (matches) out.push_back(v);
+  for (const NodeId v : learned_over(topo, state, u)) {
+    if (forwards(state, u, v)) out.push_back(v);
   }
   return out;
 }
 
 NodeId best_forwarding_neighbor(const Topology& topo,
                                 const GrStableState& state, NodeId u) {
-  const auto all = forwarding_neighbors(topo, state, u);
-  if (all.empty()) return kNoNeighbor;
-  return *std::min_element(all.begin(), all.end());
+  NodeId best = kNoNeighbor;
+  if (state.is_origin(u) || state.cls[u] == kUnreachableClass) return best;
+  for (const NodeId v : learned_over(topo, state, u)) {
+    if (forwards(state, u, v)) best = std::min(best, v);
+  }
+  return best;
 }
 
 }  // namespace dragon::routecomp

@@ -2,16 +2,20 @@
 //
 // Because GR routing policies do not depend on the prefix (§4.1 assumption),
 // the stable state of the vector-protocol for any prefix is a function of
-// its origin AS only.  For one origin it is computable in O(V + E) with a
-// three-phase sweep, which is what makes Internet-scale evaluation (Fig. 8)
-// tractable:
-//   1. customer routes: BFS from the origin along customer->provider links
-//      (every AS with the origin in its customer cone elects a customer
-//      route; BFS depth = AS-path length);
-//   2. peer routes: ASs without a customer route that have a peer electing
-//      a customer route;
+// its origin AS only.  For one origin it is computable with a three-phase
+// sweep, which is what makes Internet-scale evaluation (Fig. 8) tractable.
+// Each phase walks only the relation list it follows (topology/graph.hpp):
+//   1. customer routes: BFS from the origin along providers() (every AS
+//      with the origin in its customer cone elects a customer route; BFS
+//      depth = AS-path length);
+//   2. peer routes: the peers() of that upset, for the ASs outside it;
 //   3. provider routes: multi-source shortest-hop propagation down
-//      provider->customer links from all ASs routed so far.
+//      customers(), seeded with the ASs routed by phases 1 and 2.
+// Cost: O(V) to set up the per-node arrays, plus one step per routed AS
+// and per link a phase follows: the upset's provider and peer links and
+// every routed AS's customer links.  The provider and peer links of ASs
+// outside the upset, most of them stubs' (§5.1: 84% of ASs are stubs),
+// are never read.
 //
 // The sweep also yields AS-path lengths (BGP's tie-breaker) and forwarding
 // neighbours, both needed by the FIB-compression baseline and the slack-X
@@ -96,7 +100,8 @@ struct RegionNode {
 /// upset outside it (kPeer).  Every other node elects a provider route,
 /// or no route when no routed node sits above it.  The builder keeps one
 /// n-entry mark array and clears only what a call marked, so a call costs
-/// O(region + its adjacency), never O(n).  Not thread-safe.
+/// O(region + the upset's provider and peer links), never O(n).  Not
+/// thread-safe.
 class GrRegionBuilder {
  public:
   explicit GrRegionBuilder(const topology::Topology& topo);
@@ -113,14 +118,18 @@ class GrRegionBuilder {
 
 /// All forwarding neighbours of `u` for this origin: neighbours whose
 /// candidate route coincides with u's elected route (class and path
-/// length).  Empty for the origin and for unreachable nodes.
+/// length), in neighbors() order.  Only the relation list u's class
+/// learns over is read: customers for a customer route, peers for a peer
+/// route, providers for a provider route.  Empty for the origin and for
+/// unreachable nodes.
 [[nodiscard]] std::vector<topology::NodeId> forwarding_neighbors(
     const topology::Topology& topo, const GrStableState& state,
     topology::NodeId u);
 
 /// Deterministic single best forwarding neighbour (lowest node id among
-/// forwarding_neighbors), modelling BGP's single best path.  Returns
-/// kNoNeighbor for the origin / unreachable nodes.
+/// forwarding_neighbors, found by the same one-list scan without building
+/// the vector), modelling BGP's single best path.  Returns kNoNeighbor for
+/// the origin / unreachable nodes.
 inline constexpr topology::NodeId kNoNeighbor = 0xFFFFFFFFu;
 [[nodiscard]] topology::NodeId best_forwarding_neighbor(
     const topology::Topology& topo, const GrStableState& state,

@@ -29,10 +29,8 @@ class AncestryCache {
     while (!frontier.empty()) {
       const NodeId x = frontier.back();
       frontier.pop_back();
-      for (const auto& nb : topo_.neighbors(x)) {
-        if (nb.rel == Rel::kProvider && set.insert(nb.id).second) {
-          frontier.push_back(nb.id);
-        }
+      for (const NodeId p : topo_.providers(x)) {
+        if (set.insert(p).second) frontier.push_back(p);
       }
     }
     return cache_.emplace(u, std::move(set)).first->second;

@@ -39,12 +39,10 @@ std::vector<std::uint32_t> scc_customer_provider(const Topology& topo,
     while (!call_stack.empty()) {
       Frame& frame = call_stack.back();
       const NodeId u = frame.node;
-      const auto neigh = topo.neighbors(u);
+      const auto providers = topo.providers(u);  // customer->provider
       bool descended = false;
-      while (frame.edge < neigh.size()) {
-        const Neighbor nb = neigh[frame.edge++];
-        if (nb.rel != Rel::kProvider) continue;  // follow customer->provider
-        const NodeId v = nb.id;
+      while (frame.edge < providers.size()) {
+        const NodeId v = providers[frame.edge++];
         if (index[v] == kUnvisited) {
           index[v] = lowlink[v] = next_index++;
           stack.push_back(v);
@@ -94,12 +92,11 @@ std::size_t break_customer_provider_cycles(Topology& topo) {
     std::vector<Pick> pick(scc_count);
     bool any = false;
     for (NodeId u = 0; u < topo.node_count(); ++u) {
-      for (const Neighbor& nb : topo.neighbors(u)) {
-        if (nb.rel != Rel::kProvider || comp[u] != comp[nb.id]) continue;
+      for (const NodeId v : topo.providers(u)) {
+        if (comp[u] != comp[v]) continue;
         Pick& p = pick[comp[u]];
-        if (!p.set || u < p.customer ||
-            (u == p.customer && nb.id < p.provider)) {
-          p = {u, nb.id, true};
+        if (!p.set || u < p.customer || (u == p.customer && v < p.provider)) {
+          p = {u, v, true};
         }
         any = true;
       }
@@ -122,10 +119,9 @@ bool is_policy_connected(const Topology& topo) {
   // customer->provider digraph is acyclic, every node has a root ancestor).
   const auto roots = topo.roots();
   for (std::size_t i = 0; i < roots.size(); ++i) {
-    std::unordered_set<NodeId> peers;
-    for (const Neighbor& nb : topo.neighbors(roots[i])) {
-      if (nb.rel == Rel::kPeer) peers.insert(nb.id);
-    }
+    const auto root_peers = topo.peers(roots[i]);
+    const std::unordered_set<NodeId> peers(root_peers.begin(),
+                                           root_peers.end());
     for (std::size_t j = i + 1; j < roots.size(); ++j) {
       if (!peers.contains(roots[j])) return false;
     }
@@ -154,11 +150,8 @@ std::pair<Topology, CleanReport> clean(const Topology& topo) {
   for (const auto& [cone, r] : ranked) {
     const bool compatible = std::all_of(
         clique.begin(), clique.end(), [&](NodeId member) {
-          const auto neigh = work.neighbors(r);
-          return std::any_of(neigh.begin(), neigh.end(),
-                             [member](const Neighbor& nb) {
-                               return nb.id == member && nb.rel == Rel::kPeer;
-                             });
+          const auto peers = work.peers(r);
+          return std::find(peers.begin(), peers.end(), member) != peers.end();
         });
     if (compatible) clique.push_back(r);
   }
@@ -176,10 +169,10 @@ std::pair<Topology, CleanReport> clean(const Topology& topo) {
   while (!frontier.empty()) {
     const NodeId u = frontier.back();
     frontier.pop_back();
-    for (const Neighbor& nb : work.neighbors(u)) {
-      if (nb.rel == Rel::kCustomer && !keep[nb.id]) {
-        keep[nb.id] = 1;
-        frontier.push_back(nb.id);
+    for (const NodeId c : work.customers(u)) {
+      if (!keep[c]) {
+        keep[c] = 1;
+        frontier.push_back(c);
       }
     }
   }

@@ -7,7 +7,29 @@ namespace dragon::topology {
 
 NodeId Topology::add_node() {
   adj_.emplace_back();
+  by_rel_.emplace_back();
   return static_cast<NodeId>(adj_.size() - 1);
+}
+
+void Topology::insert_rel(NodeId u, NodeId id, Rel rel) {
+  RelList& r = by_rel_[u];
+  const std::size_t group_end = rel == Rel::kProvider ? r.peers_at
+                                : rel == Rel::kPeer   ? r.customers_at
+                                                      : r.ids.size();
+  r.ids.insert(r.ids.begin() + static_cast<std::ptrdiff_t>(group_end), id);
+  if (rel == Rel::kProvider) ++r.peers_at;
+  if (rel != Rel::kCustomer) ++r.customers_at;
+}
+
+void Topology::erase_rel(NodeId u, NodeId id) {
+  RelList& r = by_rel_[u];
+  const auto it = std::find(r.ids.begin(), r.ids.end(), id);
+  assert(it != r.ids.end());
+  const auto at = static_cast<std::size_t>(it - r.ids.begin());
+  r.ids.erase(it);
+  // A group boundary after the erased entry moves back by one.
+  if (at < r.peers_at) --r.peers_at;
+  if (at < r.customers_at) --r.customers_at;
 }
 
 void Topology::add_provider_customer(NodeId provider, NodeId customer) {
@@ -16,6 +38,8 @@ void Topology::add_provider_customer(NodeId provider, NodeId customer) {
   assert(!linked(provider, customer));
   adj_[provider].push_back({customer, Rel::kCustomer});
   adj_[customer].push_back({provider, Rel::kProvider});
+  insert_rel(provider, customer, Rel::kCustomer);
+  insert_rel(customer, provider, Rel::kProvider);
   ++links_;
 }
 
@@ -25,6 +49,8 @@ void Topology::add_peer_peer(NodeId a, NodeId b) {
   assert(!linked(a, b));
   adj_[a].push_back({b, Rel::kPeer});
   adj_[b].push_back({a, Rel::kPeer});
+  insert_rel(a, b, Rel::kPeer);
+  insert_rel(b, a, Rel::kPeer);
   ++links_;
 }
 
@@ -34,6 +60,7 @@ bool Topology::remove_link(NodeId a, NodeId b) {
     auto it = std::find_if(vec.begin(), vec.end(),
                            [to](const Neighbor& n) { return n.id == to; });
     if (it == vec.end()) return false;
+    erase_rel(from, to);
     vec.erase(it);
     return true;
   };
@@ -47,42 +74,6 @@ bool Topology::linked(NodeId a, NodeId b) const {
   const auto& vec = adj_[a];
   return std::any_of(vec.begin(), vec.end(),
                      [b](const Neighbor& n) { return n.id == b; });
-}
-
-std::vector<NodeId> Topology::providers(NodeId u) const {
-  std::vector<NodeId> out;
-  for (const Neighbor& n : adj_[u]) {
-    if (n.rel == Rel::kProvider) out.push_back(n.id);
-  }
-  return out;
-}
-
-std::vector<NodeId> Topology::customers(NodeId u) const {
-  std::vector<NodeId> out;
-  for (const Neighbor& n : adj_[u]) {
-    if (n.rel == Rel::kCustomer) out.push_back(n.id);
-  }
-  return out;
-}
-
-std::vector<NodeId> Topology::peers(NodeId u) const {
-  std::vector<NodeId> out;
-  for (const Neighbor& n : adj_[u]) {
-    if (n.rel == Rel::kPeer) out.push_back(n.id);
-  }
-  return out;
-}
-
-std::size_t Topology::customer_count(NodeId u) const {
-  return static_cast<std::size_t>(
-      std::count_if(adj_[u].begin(), adj_[u].end(),
-                    [](const Neighbor& n) { return n.rel == Rel::kCustomer; }));
-}
-
-std::size_t Topology::provider_count(NodeId u) const {
-  return static_cast<std::size_t>(
-      std::count_if(adj_[u].begin(), adj_[u].end(),
-                    [](const Neighbor& n) { return n.rel == Rel::kProvider; }));
 }
 
 std::vector<NodeId> Topology::stubs() const {
@@ -125,10 +116,10 @@ std::size_t Topology::customer_cone_size(NodeId u) const {
     const NodeId x = frontier.back();
     frontier.pop_back();
     ++count;
-    for (const Neighbor& n : adj_[x]) {
-      if (n.rel == Rel::kCustomer && !seen[n.id]) {
-        seen[n.id] = 1;
-        frontier.push_back(n.id);
+    for (const NodeId c : customers(x)) {
+      if (!seen[c]) {
+        seen[c] = 1;
+        frontier.push_back(c);
       }
     }
   }

@@ -5,6 +5,19 @@
 // neighbour *is to the node* (its provider, customer, or peer).  That is
 // exactly the label of the learning relation in the GR algebra, so the
 // route-computation layers read labels straight off the adjacency.
+//
+// Each node keeps two views of the same links:
+//   * neighbors(): (id, rel) pairs in link-insertion order.  The engine
+//     numbers its per-link labels and orders MRAI flushes by this order,
+//     so it is part of every pinned digest and never regrouped;
+//   * providers() | peers() | customers(): the neighbour ids grouped by
+//     relation, each group in neighbors() order, as spans into one list
+//     per node.  Loops that follow one relation (the GR sweep's phases,
+//     upsets, customer cones, the cleaner) read only that group, and the
+//     relation counts (customer_count, provider_count, is_stub, is_root)
+//     are O(1).
+// Every edit keeps the two in step.  A span is invalidated by a later
+// edit to its node, like an iterator into a vector.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +55,7 @@ struct Neighbor {
 class Topology {
  public:
   Topology() = default;
-  explicit Topology(std::size_t nodes) : adj_(nodes) {}
+  explicit Topology(std::size_t nodes) : adj_(nodes), by_rel_(nodes) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept { return adj_.size(); }
   [[nodiscard]] std::size_t link_count() const noexcept { return links_; }
@@ -67,12 +80,26 @@ class Topology {
     return adj_[u];
   }
 
-  [[nodiscard]] std::vector<NodeId> providers(NodeId u) const;
-  [[nodiscard]] std::vector<NodeId> customers(NodeId u) const;
-  [[nodiscard]] std::vector<NodeId> peers(NodeId u) const;
+  /// u's neighbours of one relation, in neighbors() order.
+  [[nodiscard]] std::span<const NodeId> providers(NodeId u) const {
+    const RelList& r = by_rel_[u];
+    return {r.ids.data(), r.peers_at};
+  }
+  [[nodiscard]] std::span<const NodeId> peers(NodeId u) const {
+    const RelList& r = by_rel_[u];
+    return {r.ids.data() + r.peers_at, r.customers_at - r.peers_at};
+  }
+  [[nodiscard]] std::span<const NodeId> customers(NodeId u) const {
+    const RelList& r = by_rel_[u];
+    return {r.ids.data() + r.customers_at, r.ids.size() - r.customers_at};
+  }
 
-  [[nodiscard]] std::size_t customer_count(NodeId u) const;
-  [[nodiscard]] std::size_t provider_count(NodeId u) const;
+  [[nodiscard]] std::size_t customer_count(NodeId u) const {
+    return customers(u).size();
+  }
+  [[nodiscard]] std::size_t provider_count(NodeId u) const {
+    return providers(u).size();
+  }
 
   /// A stub has no customers (§5.1: 84% of ASs are stubs).
   [[nodiscard]] bool is_stub(NodeId u) const { return customer_count(u) == 0; }
@@ -96,7 +123,20 @@ class Topology {
   [[nodiscard]] std::size_t customer_cone_size(NodeId u) const;
 
  private:
+  /// One node's neighbour ids grouped providers | peers | customers.
+  struct RelList {
+    std::vector<NodeId> ids;
+    std::uint32_t peers_at = 0;      // == provider count
+    std::uint32_t customers_at = 0;  // == provider + peer count
+  };
+
+  /// Appends `id` to the `rel` group of u's list.
+  void insert_rel(NodeId u, NodeId id, Rel rel);
+  /// Removes `id` from u's list, whichever group holds it.
+  void erase_rel(NodeId u, NodeId id);
+
   std::vector<std::vector<Neighbor>> adj_;
+  std::vector<RelList> by_rel_;
   std::size_t links_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include "paper_networks.hpp"
 #include "routecomp/generic_solver.hpp"
 #include "routecomp/gr_sweep.hpp"
+#include "topology/cleaner.hpp"
 #include "topology/generator.hpp"
 
 namespace dragon::routecomp {
@@ -147,39 +148,107 @@ TEST(GenericSolver, NonAbsorbentConfigurationDetected) {
   SUCCEED();
 }
 
+/// Checks gr_sweep_multi against the generic solver (solve_multi over
+/// GrPathAlgebra) on `trials` draws of 1-3 origins, each with a 15%
+/// suppression mask: class and path length at every node.  Also checks
+/// that best_forwarding_neighbor is the lowest id of forwarding_neighbors.
+void expect_sweep_matches_solver(const topology::Topology& topo,
+                                 util::Rng& rng, int trials) {
+  const auto net = LabeledNetwork::from_topology(topo);
+  algebra::GrPathAlgebra alg;
+  const std::size_t n = topo.node_count();
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<NodeId> origins(1 + rng.below(3));
+    std::vector<Origination> originations;
+    for (NodeId& o : origins) {
+      o = static_cast<NodeId>(rng.below(n));
+      originations.push_back({o, GrPathAlgebra::make(GrClass::kCustomer, 0)});
+    }
+    std::vector<char> suppressed(n, 0);
+    for (char& s : suppressed) s = rng.chance(0.15) ? 1 : 0;
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ", first origin " << origins[0]);
+    const auto sweep = gr_sweep_multi(topo, origins, &suppressed);
+    const auto solved = solve_multi(alg, net, originations, &suppressed);
+    ASSERT_TRUE(solved.converged);
+    for (NodeId u = 0; u < n; ++u) {
+      if (solved.attr[u] == kUnreachable) {
+        EXPECT_EQ(sweep.cls[u], kUnreachableClass) << "node " << u;
+      } else {
+        EXPECT_EQ(sweep.cls[u], static_cast<std::uint8_t>(
+                                    GrPathAlgebra::class_of(solved.attr[u])))
+            << "node " << u;
+        EXPECT_EQ(sweep.dist[u], GrPathAlgebra::path_length_of(solved.attr[u]))
+            << "node " << u;
+      }
+      const auto fwd = forwarding_neighbors(topo, sweep, u);
+      const NodeId lowest =
+          fwd.empty() ? kNoNeighbor : *std::min_element(fwd.begin(), fwd.end());
+      EXPECT_EQ(best_forwarding_neighbor(topo, sweep, u), lowest)
+          << "node " << u;
+    }
+  }
+}
+
+topology::Topology agreement_topology(std::uint32_t tier1,
+                                      std::uint32_t transit,
+                                      std::uint32_t stubs,
+                                      std::uint64_t seed) {
+  topology::GeneratorParams params;
+  params.tier1_count = tier1;
+  params.transit_count = transit;
+  params.stub_count = stubs;
+  params.seed = seed;
+  return topology::generate_internet(params).graph;
+}
+
+/// `topo` made dirty the way bench_dataset does before it cleans: 20 draws
+/// that each try to close a customer->provider 3-cycle (a node becomes a
+/// provider of its own grand-provider), then an unpeered ten-node island
+/// with its own root.
+topology::Topology make_dirty(topology::Topology topo, util::Rng& rng) {
+  for (int i = 0; i < 20; ++i) {
+    const auto a = static_cast<NodeId>(rng.below(topo.node_count()));
+    const auto providers = topo.providers(a);
+    if (providers.empty()) continue;
+    const NodeId b = providers[rng.below(providers.size())];
+    const auto grand = topo.providers(b);
+    if (grand.empty()) continue;
+    const NodeId c = grand[rng.below(grand.size())];
+    // Both spans are read before the edit below invalidates them.
+    if (c != a && !topo.linked(a, c)) topo.add_provider_customer(a, c);
+  }
+  const NodeId island_root = topo.add_node();
+  for (int i = 0; i < 9; ++i) {
+    topo.add_provider_customer(island_root, topo.add_node());
+  }
+  return topo;
+}
+
 class SweepSolverAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SweepSolverAgreement, ClassesAgreeOnGeneratedTopologies) {
-  topology::GeneratorParams params;
-  params.tier1_count = 4;
-  params.transit_count = 30;
-  params.stub_count = 120;
-  params.seed = GetParam();
-  const auto gen = topology::generate_internet(params);
-  const auto net = LabeledNetwork::from_topology(gen.graph);
-  algebra::GrPathAlgebra alg;
+  const auto topo = agreement_topology(4, 30, 120, GetParam());
   util::Rng rng(GetParam() * 1000 + 5);
+  expect_sweep_matches_solver(topo, rng, 8);
+}
 
-  for (int trial = 0; trial < 8; ++trial) {
-    const auto origin =
-        static_cast<NodeId>(rng.below(gen.graph.node_count()));
-    const auto sweep = gr_sweep(gen.graph, origin);
-    const auto solved = solve(
-        alg, net, origin, GrPathAlgebra::make(GrClass::kCustomer, 0));
-    ASSERT_TRUE(solved.converged);
-    for (NodeId u = 0; u < gen.graph.node_count(); ++u) {
-      if (solved.attr[u] == kUnreachable) {
-        EXPECT_EQ(sweep.cls[u], kUnreachableClass);
-        continue;
-      }
-      EXPECT_EQ(sweep.cls[u],
-                static_cast<std::uint8_t>(GrPathAlgebra::class_of(
-                    solved.attr[u])))
-          << "origin " << origin << " node " << u;
-      EXPECT_EQ(sweep.dist[u], GrPathAlgebra::path_length_of(solved.attr[u]))
-          << "origin " << origin << " node " << u;
-    }
-  }
+// About ten times the size above.
+TEST_P(SweepSolverAgreement, ClassesAgreeAtTenfoldSize) {
+  const auto topo = agreement_topology(6, 300, 1200, GetParam());
+  util::Rng rng(GetParam() * 1000 + 6);
+  expect_sweep_matches_solver(topo, rng, 8);
+}
+
+// Customer-provider cycles and an island that no mainland origin reaches
+// (and whose origins reach nothing outside it).
+TEST_P(SweepSolverAgreement, ClassesAgreeOnDirtyTopologies) {
+  util::Rng rng(GetParam() * 1000 + 7);
+  const auto dirty =
+      make_dirty(agreement_topology(6, 300, 1200, GetParam()), rng);
+  topology::Topology cycles = dirty;
+  ASSERT_GT(topology::break_customer_provider_cycles(cycles), 0u);
+  expect_sweep_matches_solver(dirty, rng, 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepSolverAgreement,

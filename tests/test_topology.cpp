@@ -11,6 +11,11 @@
 namespace dragon::topology {
 namespace {
 
+/// A relation list's elements, to compare with a vector.
+std::vector<NodeId> ids(std::span<const NodeId> list) {
+  return {list.begin(), list.end()};
+}
+
 TEST(Topology, BasicAdjacency) {
   Topology topo(3);
   topo.add_provider_customer(0, 1);
@@ -21,9 +26,9 @@ TEST(Topology, BasicAdjacency) {
   EXPECT_TRUE(topo.linked(1, 0));
   EXPECT_FALSE(topo.linked(0, 2));
 
-  EXPECT_EQ(topo.customers(0), std::vector<NodeId>{1});
-  EXPECT_EQ(topo.providers(1), std::vector<NodeId>{0});
-  EXPECT_EQ(topo.peers(1), std::vector<NodeId>{2});
+  EXPECT_EQ(ids(topo.customers(0)), std::vector<NodeId>{1});
+  EXPECT_EQ(ids(topo.providers(1)), std::vector<NodeId>{0});
+  EXPECT_EQ(ids(topo.peers(1)), std::vector<NodeId>{2});
   EXPECT_TRUE(topo.is_root(0));
   EXPECT_FALSE(topo.is_stub(0));
   EXPECT_TRUE(topo.is_stub(1));
@@ -36,6 +41,88 @@ TEST(Topology, RemoveLink) {
   EXPECT_FALSE(topo.remove_link(1, 0));
   EXPECT_EQ(topo.link_count(), 0u);
   EXPECT_FALSE(topo.linked(0, 1));
+}
+
+/// Every node's relation lists equal neighbors() filtered by relation, in
+/// order, and the O(1) counts equal the filtered counts.
+void expect_lists_match_adjacency(const Topology& topo) {
+  for (NodeId u = 0; u < topo.node_count(); ++u) {
+    std::vector<NodeId> providers;
+    std::vector<NodeId> peers;
+    std::vector<NodeId> customers;
+    for (const Neighbor& nb : topo.neighbors(u)) {
+      (nb.rel == Rel::kProvider ? providers
+       : nb.rel == Rel::kPeer   ? peers
+                                : customers)
+          .push_back(nb.id);
+    }
+    ASSERT_EQ(ids(topo.providers(u)), providers) << "node " << u;
+    ASSERT_EQ(ids(topo.peers(u)), peers) << "node " << u;
+    ASSERT_EQ(ids(topo.customers(u)), customers) << "node " << u;
+    ASSERT_EQ(topo.provider_count(u), providers.size()) << "node " << u;
+    ASSERT_EQ(topo.customer_count(u), customers.size()) << "node " << u;
+    ASSERT_EQ(topo.is_root(u), providers.empty()) << "node " << u;
+    ASSERT_EQ(topo.is_stub(u), customers.empty()) << "node " << u;
+  }
+}
+
+TEST(Topology, RelationListsFollowEveryEdit) {
+  GeneratorParams params;
+  params.tier1_count = 4;
+  params.transit_count = 30;
+  params.stub_count = 120;
+  params.seed = 19;
+  Topology topo = generate_internet(params).graph;
+  expect_lists_match_adjacency(topo);
+
+  // A seeded series of edits: an unlinked pair gains a provider-customer or
+  // a peer link, a linked pair loses its link (from either end).
+  util::Rng rng(19);
+  std::size_t added = 0;
+  std::size_t removed = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto a = static_cast<NodeId>(rng.below(topo.node_count()));
+    const auto b = static_cast<NodeId>(rng.below(topo.node_count()));
+    if (a == b) continue;
+    if (topo.linked(a, b)) {
+      ASSERT_TRUE(topo.remove_link(a, b));
+      ++removed;
+    } else if (rng.chance(0.5)) {
+      topo.add_provider_customer(a, b);
+      ++added;
+    } else {
+      topo.add_peer_peer(a, b);
+      ++added;
+    }
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    expect_lists_match_adjacency(topo);
+  }
+  // Node 0, a tier-1 with peers and customers, loses every link.
+  while (!topo.neighbors(0).empty()) {
+    ASSERT_TRUE(topo.remove_link(topo.neighbors(0).back().id, 0));
+    ++removed;
+    expect_lists_match_adjacency(topo);
+  }
+  EXPECT_GT(added, 100u);
+  EXPECT_GT(removed, 10u);
+
+  // clean() breaks the cycles the edits made with remove_link and rebuilds
+  // the kept part with add_node and the add_* calls.
+  const auto [cleaned, report] = clean(topo);
+  EXPECT_GT(report.cycle_links_removed, 0u);
+  expect_lists_match_adjacency(cleaned);
+
+  // A copy is deep: editing it leaves the original as it was.
+  Topology copy = topo;
+  const Topology::Link first = topo.links().front();
+  ASSERT_TRUE(copy.remove_link(first.a, first.b));
+  const NodeId fresh = copy.add_node();
+  copy.add_provider_customer(first.a, fresh);
+  copy.add_peer_peer(first.b, fresh);
+  expect_lists_match_adjacency(copy);
+  expect_lists_match_adjacency(topo);
+  EXPECT_TRUE(topo.linked(first.a, first.b));
+  EXPECT_EQ(topo.node_count() + 1, copy.node_count());
 }
 
 TEST(Topology, LinksReportedOnce) {
@@ -66,8 +153,8 @@ TEST(Loader, ParsesCaidaFormat) {
   EXPECT_EQ(loaded.graph.link_count(), 4u);
   EXPECT_EQ(loaded.asn[0], 100u);
   // 100 is provider of 200.
-  EXPECT_EQ(loaded.graph.customers(0), std::vector<NodeId>{1});
-  EXPECT_EQ(loaded.graph.peers(0), std::vector<NodeId>{3});
+  EXPECT_EQ(ids(loaded.graph.customers(0)), std::vector<NodeId>{1});
+  EXPECT_EQ(ids(loaded.graph.peers(0)), std::vector<NodeId>{3});
 }
 
 TEST(Loader, SkipsDuplicatesAndSelfLoops) {
