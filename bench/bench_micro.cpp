@@ -258,10 +258,10 @@ void BM_OrtcCompress(benchmark::State& state) {
 BENCHMARK(BM_OrtcCompress)->Arg(10000)->Arg(50000);
 
 // Compiled-LPM serving: one lookup against a DIR-24-8-style LpmTable
-// (top_bits=16, the bench_dataplane default).  Arg pair is
+// (top_bits=16, the LpmConfig default).  Arg pair is
 // {fib entries, mix} with mix 0 = uniform over prefixes, 1 = Zipf-skewed
-// with 5% whole-address-space misses — the two traffic shapes
-// bench_dataplane serves at scale.
+// with 5% whole-address-space misses — the traffic shape pipebench's
+// converge_serve serves at scale.
 void BM_DataplaneLookup(benchmark::State& state) {
   const auto prefixes =
       random_prefixes(static_cast<std::size_t>(state.range(0)), 21);

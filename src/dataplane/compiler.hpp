@@ -9,8 +9,7 @@
 // Two snapshot kinds make DRAGON's payoff measurable: kPostDragon is the
 // real FIB (elected, not filtered); kPreDragon additionally keeps the
 // entries DRAGON filtered, i.e. the table the node would serve without
-// aggregation.  bench_dataplane compiles both and compares bytes and
-// lookups/sec.
+// aggregation.  Compiling both compares the table bytes DRAGON saves.
 #pragma once
 
 #include <memory>
@@ -37,7 +36,7 @@ enum class SnapshotKind {
                                               SnapshotKind kind);
 
 /// One pass over the whole RIB: the FIBs of every node at once (indexed
-/// by node id).  What bench_dataplane uses to pick its serving nodes.
+/// by node id), e.g. to pick the busiest nodes to serve.
 [[nodiscard]] std::vector<fibcomp::Fib> fibs_from_simulator(
     const engine::Simulator& sim, SnapshotKind kind);
 

@@ -81,18 +81,10 @@ class EpochDomain {
     return epoch_.fetch_add(1, std::memory_order_seq_cst);
   }
 
-  [[nodiscard]] std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_seq_cst);
-  }
-
   /// The smallest epoch any acquired slot is currently pinned at, or
   /// UINT64_MAX when every slot is quiescent.  A table retired at epoch e
   /// is reclaimable iff e < min_pinned().
   [[nodiscard]] std::uint64_t min_pinned() const noexcept;
-
-  [[nodiscard]] std::size_t max_readers() const noexcept {
-    return slots_.size();
-  }
 
  private:
   // One cache line per slot: readers on different slots never contend.
@@ -127,12 +119,6 @@ class EpochReader {
   EpochDomain::ReaderId id_;
 };
 
-/// What one reclaim pass freed, for the dragon.dataplane.* metrics.
-struct ReclaimStats {
-  std::size_t freed = 0;         ///< tables deleted this pass
-  std::size_t outstanding = 0;   ///< tables still awaiting drain
-};
-
 /// A hot-swappable pointer to an immutable T, reclaimed via an
 /// EpochDomain.  One writer at a time is enforced with a mutex (publish
 /// and reclaim are control-plane operations; only read() is hot).
@@ -162,17 +148,18 @@ class EpochPublished {
   /// Swaps in `table`, retires the previous one (tagged with the epoch
   /// returned by advance()), and opportunistically reclaims any retired
   /// tables whose readers have drained.
-  ReclaimStats publish(std::unique_ptr<const T> table) {
+  void publish(std::unique_ptr<const T> table) {
     const std::lock_guard<std::mutex> lock(mu_);
     const T* old = current_.exchange(table.release(),
                                      std::memory_order_seq_cst);
     ++publish_count_;
     if (old != nullptr) retired_.push_back({old, domain_.advance()});
-    return reclaim_locked();
+    reclaim_locked();
   }
 
-  /// Frees every retired table no pinned reader can still see.
-  ReclaimStats reclaim() {
+  /// Frees every retired table no pinned reader can still see.  Returns
+  /// how many retired tables are still outstanding.
+  std::size_t reclaim() {
     const std::lock_guard<std::mutex> lock(mu_);
     return reclaim_locked();
   }
@@ -194,21 +181,18 @@ class EpochPublished {
     std::uint64_t epoch;
   };
 
-  ReclaimStats reclaim_locked() {
-    ReclaimStats stats;
+  std::size_t reclaim_locked() {
     const std::uint64_t min_pin = domain_.min_pinned();
     std::size_t keep = 0;
     for (Retired& r : retired_) {
       if (r.epoch < min_pin) {
         delete r.ptr;
-        ++stats.freed;
       } else {
         retired_[keep++] = r;
       }
     }
     retired_.resize(keep);
-    stats.outstanding = keep;
-    return stats;
+    return keep;
   }
 
   EpochDomain& domain_;

@@ -51,14 +51,12 @@ LookupServer::LookupServer(LookupServerConfig config)
 void LookupServer::publish(std::unique_ptr<const LpmTable> table) {
   DRAGON_SPAN_ARG("dataplane", "table_swap", "bytes",
                   table != nullptr ? table->stats().table_bytes : 0);
-  reclaimed_ += published_.publish(std::move(table)).freed;
+  published_.publish(std::move(table));
 }
 
 std::size_t LookupServer::reclaim() {
   DRAGON_SPAN("dataplane", "table_reclaim");
-  const ReclaimStats stats = published_.reclaim();
-  reclaimed_ += stats.freed;
-  return stats.outstanding;
+  return published_.reclaim();
 }
 
 BatchResult LookupServer::serve(const QueryGen& gen, util::Rng rng,
@@ -87,59 +85,6 @@ BatchResult LookupServer::serve(const QueryGen& gen, util::Rng rng,
   }
   r.lookups = count;
   return r;
-}
-
-BatchResult LookupServer::serve_parallel(exec::ThreadPool* pool,
-                                         const QueryGen& gen,
-                                         std::uint64_t seed,
-                                         std::uint64_t count,
-                                         std::size_t chunks) {
-  DRAGON_SPAN_ARG("dataplane", "serve_parallel", "queries", count);
-  if (chunks == 0) chunks = exec::kDefaultChunks;
-  // Queries per chunk are a pure function of (count, chunks) — the
-  // static_chunks split — and each chunk's RNG is forked by chunk index,
-  // so the combined result is thread-count-invariant.
-  const auto ranges = exec::static_chunks(count, chunks);
-  std::vector<BatchResult> results(ranges.size());
-  exec::ParallelOptions opts;
-  opts.chunks = ranges.size();
-  opts.seed = seed;
-  exec::parallel_for(
-      pool, ranges.size(),
-      [&](std::size_t i, exec::TaskContext& ctx) {
-        results[i] = serve(gen, std::move(ctx.rng),
-                           ranges[i].second - ranges[i].first);
-      },
-      opts);
-  BatchResult combined;
-  for (const BatchResult& r : results) combined += r;
-  note_served(combined);
-  return combined;
-}
-
-void LookupServer::export_metrics(obs::MetricsRegistry& reg) const {
-  if (const LpmTable* t = current(); t != nullptr) {
-    const LpmStats& s = t->stats();
-    reg.gauge("dragon.dataplane.table_bytes")
-        ->set(static_cast<double>(s.table_bytes));
-    reg.gauge("dragon.dataplane.entries")->set(static_cast<double>(s.entries));
-    reg.gauge("dragon.dataplane.palette_size")
-        ->set(static_cast<double>(s.palette_size));
-    reg.gauge("dragon.dataplane.bucket_count")
-        ->set(static_cast<double>(s.bucket_count));
-    auto* depth = reg.histogram("dragon.dataplane.bucket_depth");
-    for (std::size_t d = 0; d < s.bucket_depth_hist.size(); ++d) {
-      for (std::size_t n = 0; n < s.bucket_depth_hist[d]; ++n) {
-        depth->observe(d + 1);
-      }
-    }
-  }
-  reg.counter("dragon.dataplane.swaps")->set(published_.publish_count());
-  reg.counter("dragon.dataplane.reclaimed")->set(reclaimed_);
-  reg.gauge("dragon.dataplane.retired_outstanding")
-      ->set(static_cast<double>(published_.retired_count()));
-  reg.counter("dragon.dataplane.lookups")->set(totals_.lookups);
-  reg.counter("dragon.dataplane.hits")->set(totals_.hits);
 }
 
 }  // namespace dragon::dataplane

@@ -4,20 +4,19 @@
 // serving node: the control plane publishes freshly compiled LpmTables
 // through it while reader threads answer batched queries against
 // whichever table their pinned epoch sees.  Query streams come from a
-// QueryGen (uniform or Zipf-skewed mixes over the FIB's prefixes) driven
-// by per-chunk RNG streams forked exec-style, so a parallel serve is
-// bit-identical for any thread count when the table is static.
+// QueryGen (uniform or Zipf-skewed mixes over the FIB's prefixes); a
+// caller that splits a stream over readers forks one RNG stream per
+// reader, so the combined result does not depend on the thread count
+// while the table is static.
 //
 // Threading contract:
-//   * One *owner* thread calls publish/reclaim/serve_parallel/
-//     export_metrics/note_served — the same single-writer discipline as
-//     obs::MetricsRegistry.
+//   * One *owner* thread calls publish/reclaim.
 //   * serve() is safe from any thread concurrently with the owner's
 //     publishes (it is const and touches only its own reader slot); the
 //     TSan preset drives exactly that: pool workers serving while the
 //     owner hot-swaps.
-//   * Metrics are only ever written by the owner thread, after joins —
-//     workers return plain BatchResults that the owner accumulates.
+//   * Workers return plain BatchResults; the caller combines them after
+//     the join.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +25,7 @@
 
 #include "dataplane/epoch.hpp"
 #include "dataplane/lpm_table.hpp"
-#include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "fibcomp/fib.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dragon::dataplane {
@@ -104,16 +100,6 @@ class LookupServer {
   /// are still outstanding.
   std::size_t reclaim();
 
-  /// Accumulates a batch served elsewhere (e.g. a worker's serve() result
-  /// collected after a join) into the server totals.
-  void note_served(const BatchResult& r) noexcept {
-    totals_ += r;
-  }
-
-  /// Writes the dragon.dataplane.* metrics: current-table shape (bytes,
-  /// buckets, depth histogram), swap/reclaim activity, and serve totals.
-  void export_metrics(obs::MetricsRegistry& reg) const;
-
   // --- Data plane (any thread) ---------------------------------------------
 
   /// Serves `count` queries drawn from gen with `rng`, pinning the epoch
@@ -122,20 +108,9 @@ class LookupServer {
   [[nodiscard]] BatchResult serve(const QueryGen& gen, util::Rng rng,
                                   std::uint64_t count) const;
 
-  /// Owner-thread convenience: serves `count` queries split over `chunks`
-  /// deterministic RNG streams on `pool` (nullptr: inline), accumulates
-  /// into the server totals, and returns the combined result.  Results
-  /// are identical for any thread count while no publish intervenes.
-  BatchResult serve_parallel(exec::ThreadPool* pool, const QueryGen& gen,
-                             std::uint64_t seed, std::uint64_t count,
-                             std::size_t chunks = 0);
-
   [[nodiscard]] EpochDomain& domain() noexcept { return domain_; }
   [[nodiscard]] std::size_t publish_count() const {
     return published_.publish_count();
-  }
-  [[nodiscard]] std::size_t retired_count() const {
-    return published_.retired_count();
   }
   /// The live table.  Valid for the owner thread (the only reclaimer, so
   /// the pointer cannot be freed underneath it) and for readers between a
@@ -151,10 +126,6 @@ class LookupServer {
   /// lock-free state, not logical mutation of the server.
   mutable EpochDomain domain_;
   EpochPublished<LpmTable> published_;
-
-  // Owner-thread accumulators (export_metrics snapshots them).
-  BatchResult totals_;
-  std::uint64_t reclaimed_ = 0;
 };
 
 }  // namespace dragon::dataplane

@@ -5,8 +5,8 @@
 // 8-bit stride per level, for prefixes longer than the root covers.  With
 // top_bits = 24 this is the classic DIR-24-8 scheme (64 MiB root, buckets
 // only for /25../32); smaller roots trade root bytes for bucket chains and
-// make table size track FIB content, which is what the pre- vs post-DRAGON
-// comparison in bench_dataplane measures.
+// make table size track FIB content, so the pre- vs post-DRAGON table
+// bytes show what aggregation saves.
 //
 // Entry encoding (u32, shared by root and buckets):
 //   0                      — no match at or below this slot (lookup → kDrop)
@@ -38,7 +38,7 @@ struct LpmConfig {
   int top_bits = 16;
 };
 
-/// Compile-time facts about a table, exported as dragon.dataplane.* metrics.
+/// Compile-time facts about a table.
 struct LpmStats {
   std::size_t entries = 0;       ///< FIB entries compiled in
   std::size_t palette_size = 0;  ///< distinct next hops

@@ -1,8 +1,12 @@
+// The DRAGON control-loop hooks: code CR filtering, rule RA monitoring
+// with de-/re-aggregation, and self-organised aggregation-prefix
+// origination.  Simulator member functions; see simulator.hpp for the
+// interface.
 #include <algorithm>
 
 #include "dragon/deaggregation.hpp"
+#include "engine/simulator.hpp"
 #include "util/log.hpp"
-#include "engine/dragon_hooks.hpp"
 
 namespace dragon::engine {
 

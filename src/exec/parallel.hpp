@@ -74,10 +74,6 @@ struct ParallelOptions {
 /// per-item dispatch.
 inline constexpr std::size_t kChunksPerWorker = 8;
 
-/// Pool-size-independent chunk count for callers that pin their chunking
-/// (the data-plane lookup server's shard planner).
-inline constexpr std::size_t kDefaultChunks = 64;
-
 /// Splits [0, n) into at most `chunks` contiguous [begin, end) ranges of
 /// near-equal size (earlier chunks get the remainder).  Pure function of
 /// its arguments; empty when n == 0.

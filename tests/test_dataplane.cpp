@@ -2,25 +2,31 @@
 // compiled-table-vs-trie differential oracle across compile/swap cycles,
 // the epoch pin/retire/reclaim contract, concurrent readers during
 // hot-swap (what the tsan-dataplane-smoke preset builds), parallel-serve
-// determinism, and first-hop equivalence against Simulator::trace().
+// determinism, first-hop equivalence against Simulator::trace(), and
+// pre- vs post-DRAGON tables of a converged generated Internet served
+// under hot swap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <numeric>
 #include <thread>
 #include <vector>
 
+#include "addressing/assignment.hpp"
 #include "algebra/gr_path_algebra.hpp"
 #include "dataplane/compiler.hpp"
 #include "dataplane/epoch.hpp"
 #include "dataplane/lookup_server.hpp"
 #include "dataplane/lpm_table.hpp"
 #include "engine/simulator.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "paper_networks.hpp"
 #include "prefix/prefix_trie.hpp"
 #include "test_support.hpp"
+#include "topology/generator.hpp"
 #include "util/rng.hpp"
 
 namespace dragon::dataplane {
@@ -38,6 +44,22 @@ using F1 = dragon::testing::Figure1;
 using dragon::testing::quiesce;
 
 Prefix bp(const char* s) { return *Prefix::from_bit_string(s); }
+
+constexpr algebra::Attr kOriginAttr =
+    GrPathAlgebra::make(GrClass::kCustomer, 0);
+
+/// A DRAGON-enabled engine with the scaled-down timers the data-plane
+/// tests converge under.
+engine::Config dragon_config() {
+  engine::Config config;
+  config.mrai = 0.5;
+  config.link_delay = 0.01;
+  config.enable_dragon = true;
+  config.l_attr = [](algebra::Attr a) {
+    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
+  };
+  return config;
+}
 
 Fib random_fib(util::Rng& rng, std::size_t entries) {
   Fib fib;
@@ -175,7 +197,7 @@ TEST(DataplaneSmoke, DifferentialOracleAcrossCompileSwapCycles) {
   LookupServer server({/*max_readers=*/4, /*pin_batch=*/64});
   util::Rng rng(20260808);
   for (int cycle = 0; cycle < 110; ++cycle) {
-    const std::size_t entries = 20 + rng.below(60);
+    const std::size_t entries = 200 + rng.below(600);
     const Fib fib = random_fib(rng, entries);
     const int top_bits = rng.chance(0.5) ? 8 : 16;
     FibCompiler compiler{{top_bits}};
@@ -206,16 +228,13 @@ TEST(DataplaneSmoke, ReclaimDeferredWhileReaderPinned) {
   // Swap while the reader is pinned: the old table retires but must not
   // be freed (the reader's pin predates the epoch advance).
   published.publish(std::make_unique<const int>(2));
-  EXPECT_EQ(published.retired_count(), 1u);
-  EXPECT_EQ(published.reclaim().freed, 0u);
+  EXPECT_EQ(published.reclaim(), 1u);
   EXPECT_EQ(*seen, 1);  // still alive (ASan would flag a stale read)
 
   // Re-pinning moves the reader past the retire epoch: now it drains.
   reader.pin();
   EXPECT_EQ(*published.read(), 2);
-  const ReclaimStats stats = published.reclaim();
-  EXPECT_EQ(stats.freed, 1u);
-  EXPECT_EQ(stats.outstanding, 0u);
+  EXPECT_EQ(published.reclaim(), 0u);
 
   reader.unpin();
 }
@@ -312,10 +331,26 @@ TEST(DataplaneSmoke, ServeParallelInvariantAcrossThreadCounts) {
   mix.miss_fraction = 0.1;
   const QueryGen gen(fib, mix);
 
+  // One serve() per chunk on its own forked stream, as pipebench's
+  // converge_serve splits a stream over its readers.
+  constexpr std::size_t kChunks = 8;
+  const util::Rng streams(42);
   const auto run = [&](exec::ThreadPool* pool) {
     LookupServer server({/*max_readers=*/16, /*pin_batch=*/256});
     server.publish(FibCompiler{{16}}.compile(fib));
-    return server.serve_parallel(pool, gen, /*seed=*/42, /*count=*/20000);
+    exec::ParallelOptions opts;
+    opts.chunks = kChunks;
+    BatchResult total;
+    for (const BatchResult& r : exec::parallel_map<BatchResult>(
+             pool, kChunks,
+             [&](std::size_t i, exec::TaskContext&) {
+               return server.serve(gen, streams.fork_stream(i),
+                                   20000 / kChunks);
+             },
+             opts)) {
+      total += r;
+    }
+    return total;
   };
 
   const BatchResult base = run(nullptr);
@@ -357,17 +392,9 @@ TEST(DataplaneSmoke, ZipfQueriesHitTheFib) {
 TEST(DataplaneSmoke, CompiledTableMatchesEngineTrace) {
   const auto topo = F1::topology();
   GrPathAlgebra alg;
-  engine::Config config;
-  config.mrai = 0.5;
-  config.link_delay = 0.01;
-  config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
-  engine::Simulator sim(topo, alg, config);
-  const algebra::Attr origin_attr = GrPathAlgebra::make(GrClass::kCustomer, 0);
-  sim.originate(bp("10"), F1::origin_p, origin_attr);
-  sim.originate(bp("10000"), F1::origin_q, origin_attr);
+  engine::Simulator sim(topo, alg, dragon_config());
+  sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+  sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
   quiesce(sim);
 
   util::Rng rng(11);
@@ -398,17 +425,9 @@ TEST(DataplaneSmoke, CompiledTableMatchesEngineTrace) {
 TEST(DataplaneSmoke, PreDragonSnapshotKeepsFilteredEntries) {
   const auto topo = F1::topology();
   GrPathAlgebra alg;
-  engine::Config config;
-  config.mrai = 0.5;
-  config.link_delay = 0.01;
-  config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
-  engine::Simulator sim(topo, alg, config);
-  const algebra::Attr origin_attr = GrPathAlgebra::make(GrClass::kCustomer, 0);
-  sim.originate(bp("10"), F1::origin_p, origin_attr);
-  sim.originate(bp("10000"), F1::origin_q, origin_attr);
+  engine::Simulator sim(topo, alg, dragon_config());
+  sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+  sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
   quiesce(sim);
 
   const auto pre = fibs_from_simulator(sim, SnapshotKind::kPreDragon);
@@ -423,6 +442,120 @@ TEST(DataplaneSmoke, PreDragonSnapshotKeepsFilteredEntries) {
   }
   // DRAGON filters q somewhere in Figure 1, so the totals must differ.
   EXPECT_GT(pre_total, post_total);
+}
+
+// ---------------------------------------------------------------------------
+// Pre- vs post-DRAGON tables of a converged Internet, served under hot swap
+// ---------------------------------------------------------------------------
+
+TEST(DataplaneSmoke, ConvergedTablesServeEqualHitsUnderHotSwap) {
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 3;
+  tparams.transit_count = 12;
+  tparams.stub_count = 96;
+  tparams.seed = 5;
+  const auto generated = topology::generate_internet(tparams);
+  addressing::AssignmentParams aparams;
+  aparams.seed = 6;
+  const auto assignment = addressing::clean_assignment(
+      generated.graph, addressing::generate_assignment(generated, aparams));
+  ASSERT_GE(assignment.size(), 60u);
+  GrPathAlgebra alg;
+  engine::Simulator sim(generated.graph, alg, dragon_config());
+  for (std::size_t i = 0; i < 60; ++i) {
+    sim.originate(assignment.prefixes[i], assignment.origin[i], kOriginAttr);
+  }
+  quiesce(sim);
+
+  const auto pre = fibs_from_simulator(sim, SnapshotKind::kPreDragon);
+  const auto post = fibs_from_simulator(sim, SnapshotKind::kPostDragon);
+  std::vector<topology::NodeId> nodes(pre.size());
+  std::iota(nodes.begin(), nodes.end(), topology::NodeId{0});
+  std::sort(nodes.begin(), nodes.end(), [&](auto a, auto b) {
+    if (pre[a].size() != pre[b].size()) return pre[a].size() > pre[b].size();
+    return a < b;
+  });
+  nodes.resize(3);
+
+  const FibCompiler compiler;
+  util::Rng rng(17);
+  std::size_t pre_entries = 0;
+  std::size_t post_entries = 0;
+  for (const topology::NodeId u : nodes) {
+    const auto pre_table = compiler.compile(pre[u]);
+    const auto post_table = compiler.compile(post[u]);
+    EXPECT_LE(post_table->stats().entries, pre_table->stats().entries) << u;
+    EXPECT_LE(post_table->stats().table_bytes, pre_table->stats().table_bytes)
+        << u;
+    pre_entries += pre_table->stats().entries;
+    post_entries += post_table->stats().entries;
+    expect_matches_trie(*pre_table, pre[u], rng, 2000);
+    expect_matches_trie(*post_table, post[u], rng, 2000);
+  }
+  // DRAGON filtered something, so the hit checks below compare two
+  // different tables.
+  EXPECT_LT(post_entries, pre_entries);
+
+  // A query hits the post-DRAGON table exactly when it hits the
+  // pre-DRAGON one (a filtered prefix's covering parent stays
+  // installed), so readers count the same hits whichever table each
+  // batch saw.  Reader w serves kBatches serve() calls on forked streams.
+  const topology::NodeId hot = nodes.front();
+  QueryMix mix;
+  mix.kind = QueryMix::Kind::kZipf;
+  mix.miss_fraction = 0.05;
+  const QueryGen gen(pre[hot], mix);
+  constexpr std::size_t kReaders = 3;
+  constexpr std::uint64_t kBatches = 40;
+  constexpr std::uint64_t kBatch = 2000;
+  constexpr std::uint64_t kSwaps = 40;
+  const util::Rng base(2026);
+  std::atomic<std::uint64_t> served{0};
+  const auto serve_stream = [&](const LookupServer& server, std::size_t w) {
+    BatchResult r;
+    const util::Rng stream = base.fork_stream(w);
+    for (std::uint64_t k = 0; k < kBatches; ++k) {
+      r += server.serve(gen, stream.fork_stream(k), kBatch);
+      served.fetch_add(kBatch);
+    }
+    return r;
+  };
+  BatchResult fixed[2];  // [0] pre, [1] post
+  for (int kind = 0; kind < 2; ++kind) {
+    LookupServer server;
+    server.publish(compiler.compile(kind == 0 ? pre[hot] : post[hot]));
+    for (std::size_t w = 0; w < kReaders; ++w) {
+      fixed[kind] += serve_stream(server, w);
+    }
+  }
+  EXPECT_EQ(fixed[1].hits, fixed[0].hits);
+  EXPECT_LT(fixed[0].hits, fixed[0].lookups);  // the misses are drawn
+
+  LookupServer server({/*max_readers=*/kReaders, /*pin_batch=*/64});
+  server.publish(compiler.compile(post[hot]));
+  served = 0;
+  std::vector<BatchResult> swapping(kReaders);
+  exec::ThreadPool pool(kReaders);
+  std::vector<std::future<void>> readers;
+  for (std::size_t w = 0; w < kReaders; ++w) {
+    readers.push_back(
+        pool.submit([&, w] { swapping[w] = serve_stream(server, w); }));
+  }
+  // Owner: alternate pre and post tables, one swap each time the readers
+  // finish another 1/kSwaps of their queries.
+  const std::uint64_t total = kReaders * kBatches * kBatch;
+  for (std::uint64_t s = 0; s < kSwaps; ++s) {
+    while (served.load() < s * total / kSwaps) std::this_thread::yield();
+    server.publish(compiler.compile(s % 2 == 0 ? pre[hot] : post[hot]));
+    server.reclaim();
+  }
+  for (auto& f : readers) f.get();
+  BatchResult swapped;
+  for (const BatchResult& r : swapping) swapped += r;
+  EXPECT_EQ(swapped.lookups, total);
+  EXPECT_EQ(swapped.hits, fixed[0].hits);
+  EXPECT_EQ(server.reclaim(), 0u);
+  EXPECT_EQ(server.publish_count(), kSwaps + 1);
 }
 
 }  // namespace
