@@ -172,10 +172,9 @@ int run_scenario_mode(const util::Flags& flags,
       hijack_bgp += row.blast_bgp;
     }
 
-    // Coverage counters (gated by tools/bench_gate.py --coverage-prefix:
-    // a refreshed artifact may never report fewer runs or passes per
-    // family than the committed baseline) plus blast/update gauges for
-    // the regression ratios.
+    // Per-family totals: run/pass/classification counters plus blast,
+    // suppression and update gauges (pinned for the smoke list by
+    // ScenarioSmoke.SmokeListOutcomesPinnedPerFamily).
     char name[96];
     std::snprintf(name, sizeof name, "dragon.chaos.scenario.%s.runs", family);
     bench_metrics.counter(name)->inc(row.seeds);
@@ -383,7 +382,7 @@ int main(int argc, char** argv) {
     std::vector<double> recovery_last;   // quiescence - last action
     std::vector<double> updates;
     std::uint64_t deaggregations = 0;
-    std::uint64_t msgs_lost = 0;
+    std::uint64_t lost = 0;
   };
   std::vector<BurstRow> rows;
 
@@ -444,16 +443,18 @@ int main(int argc, char** argv) {
       gr_probes_total += out.gr_probes_run;
       row.recovery_first.push_back(out.end_time - out.first_action);
       row.recovery_last.push_back(out.end_time - out.last_action);
-      row.updates.push_back(static_cast<double>(out.stats.updates()));
-      row.deaggregations += out.stats.deaggregations;
-      row.msgs_lost += out.msgs_lost;
+      const std::uint64_t updates = obs::updates(out.metrics);
+      row.updates.push_back(static_cast<double>(updates));
+      row.deaggregations +=
+          obs::count(out.metrics, obs::EventKind::kDeaggregate);
+      row.lost += obs::count(out.metrics, obs::EventKind::kMsgLost);
       agg.merge_from(out.metrics);
       char name[64];
       std::snprintf(name, sizeof name, "chaos.recovery_ms.burst.%zu", burst);
       bench_metrics.histogram(name)->observe(
           static_cast<std::uint64_t>(row.recovery_last.back() * 1e3));
       std::snprintf(name, sizeof name, "chaos.updates.burst.%zu", burst);
-      bench_metrics.histogram(name)->observe(out.stats.updates());
+      bench_metrics.histogram(name)->observe(updates);
       bench_metrics.counter("chaos.schedules")->inc();
     }
     rows.push_back(std::move(row));
@@ -470,7 +471,7 @@ int main(int argc, char** argv) {
          stats::format_number(stats::percentile(row.recovery_first, 0.9)),
          stats::format_number(stats::percentile(row.updates, 0.5)),
          stats::format_number(stats::max_of(row.updates)),
-         std::to_string(row.deaggregations), std::to_string(row.msgs_lost)});
+         std::to_string(row.deaggregations), std::to_string(row.lost)});
   }
   table.print();
 
@@ -478,30 +479,26 @@ int main(int argc, char** argv) {
     // Session-lifecycle summary, aggregated over every schedule: how many
     // sessions the sweep tore and rebuilt, what graceful restart retained,
     // and how long re-sync took (the restart-window histogram).
-    const auto counter = [&agg](const char* name) -> std::uint64_t {
+    const auto counter = [&agg](const char* name) -> unsigned long long {
       const auto* c = agg.find_counter(name);
       return c != nullptr ? c->value() : 0;
+    };
+    const auto count = [&agg](obs::EventKind kind) -> unsigned long long {
+      return obs::count(agg, kind);
     };
     std::printf(
         "# sessions: crashed=%llu restarted=%llu torn=%llu established=%llu "
         "hold_expiries=%llu\n",
-        static_cast<unsigned long long>(counter("dragon.session.node_crashes")),
-        static_cast<unsigned long long>(
-            counter("dragon.session.node_restarts")),
-        static_cast<unsigned long long>(counter("dragon.session.torn_down")),
-        static_cast<unsigned long long>(counter("dragon.session.established")),
-        static_cast<unsigned long long>(
-            counter("dragon.session.hold_expiries")));
+        count(obs::EventKind::kNodeCrash), count(obs::EventKind::kNodeRestart),
+        count(obs::EventKind::kSessionDown), count(obs::EventKind::kSessionUp),
+        count(obs::EventKind::kHoldExpire));
     std::printf(
         "# stale routes: retained=%llu swept=%llu window_expired=%llu; "
         "eor sent=%llu recv=%llu; gr probes run=%llu\n",
-        static_cast<unsigned long long>(
-            counter("dragon.session.stale_retained")),
-        static_cast<unsigned long long>(counter("dragon.session.stale_swept")),
-        static_cast<unsigned long long>(
-            counter("dragon.session.stale_expired")),
-        static_cast<unsigned long long>(counter("dragon.session.eor_sent")),
-        static_cast<unsigned long long>(counter("dragon.session.eor_received")),
+        counter("dragon.session.stale_retained"),
+        counter("dragon.session.stale_swept"),
+        counter("dragon.session.stale_expired"),
+        count(obs::EventKind::kEorSend), count(obs::EventKind::kEorRecv),
         static_cast<unsigned long long>(gr_probes_total));
     if (const auto* h = agg.find_histogram("dragon.session.resync_ms");
         h != nullptr && h->count() > 0) {

@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
       if (timeline_out != nullptr) bgp.attach_timeline(&bgp_timeline);
       converge(bgp, "tree " + std::to_string(t) + " trial " +
                         std::to_string(trial) + " bgp");
-      const auto bgp_updates = bgp.stats().updates();
+      const auto bgp_updates = obs::updates(bgp.metrics());
       if (timeline_out != nullptr) {
         char extra[96];
         std::snprintf(extra, sizeof extra,
@@ -284,8 +284,11 @@ int main(int argc, char** argv) {
       if (timeline_out != nullptr) drg.attach_timeline(&drg_timeline);
       converge(drg, "tree " + std::to_string(t) + " trial " +
                         std::to_string(trial) + " dragon");
-      const auto drg_updates = drg.stats().updates();
-      rec.deagg = drg.stats().deaggregations > 0;
+      const auto drg_updates = obs::updates(drg.metrics());
+      const auto drg_count = [&drg](obs::EventKind kind) {
+        return static_cast<unsigned long long>(obs::count(drg.metrics(), kind));
+      };
+      rec.deagg = drg_count(obs::EventKind::kDeaggregate) > 0;
       if (timeline_out != nullptr) {
         char extra[96];
         std::snprintf(extra, sizeof extra,
@@ -297,16 +300,15 @@ int main(int argc, char** argv) {
       if (tracing) {
         // note() flushes the ring first, so every event of this trial is on
         // disk before the delimiter; the counts let a reader check the JSONL
-        // against the Stats facade per trial.
-        const auto s = drg.stats();
+        // against the registry's counters per trial.
         char note[160];
         std::snprintf(note, sizeof note,
                       "{\"kind\":\"trial_end\",\"tree\":%zu,\"trial\":%zu,"
                       "\"updates\":%llu,\"announcements\":%llu,"
                       "\"withdrawals\":%llu}",
-                      t, trial, (unsigned long long)s.updates(),
-                      (unsigned long long)s.announcements,
-                      (unsigned long long)s.withdrawals);
+                      t, trial, (unsigned long long)drg_updates,
+                      drg_count(obs::EventKind::kAnnounce),
+                      drg_count(obs::EventKind::kWithdraw));
         tracer.note(note);
       }
 
@@ -318,9 +320,9 @@ int main(int argc, char** argv) {
                      "reagg=%llu aggorig=%llu\n",
                      a, b, (unsigned long long)bgp_updates,
                      (unsigned long long)drg_updates,
-                     (unsigned long long)drg.stats().deaggregations,
-                     (unsigned long long)drg.stats().reaggregations,
-                     (unsigned long long)drg.stats().agg_originations);
+                     drg_count(obs::EventKind::kDeaggregate),
+                     drg_count(obs::EventKind::kReaggregate),
+                     drg_count(obs::EventKind::kAggOriginate));
       }
 
       rec.bgp_updates = static_cast<double>(bgp_updates);

@@ -325,7 +325,7 @@ void BM_EngineConvergence(benchmark::State& state) {
                                                0));
     const auto r = chaos::run_to_quiescence(sim);
     if (!r.quiescent) state.SkipWithError("convergence watchdog fired");
-    benchmark::DoNotOptimize(sim.stats().updates());
+    benchmark::DoNotOptimize(obs::updates(sim.metrics()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(gen.graph.link_count()));

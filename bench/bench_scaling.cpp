@@ -30,7 +30,6 @@
 #include "chaos/sweep.hpp"
 #include "obs/trace.hpp"
 #include "stats/table.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -67,7 +66,7 @@ struct Digest {
   std::uint64_t announcements = 0;
   std::uint64_t withdrawals = 0;
   std::uint64_t deaggregations = 0;
-  std::uint64_t msgs_lost = 0;
+  std::uint64_t lost = 0;  ///< messages dropped on the wire
 
   bool operator==(const Digest&) const = default;
 };
@@ -109,10 +108,10 @@ Digest digest_of(const chaos::ScheduleOutcome& out) {
   d.skipped = out.skipped;
   d.ok = out.ok();
   d.end_time = out.end_time;
-  d.announcements = out.stats.announcements;
-  d.withdrawals = out.stats.withdrawals;
-  d.deaggregations = out.stats.deaggregations;
-  d.msgs_lost = out.msgs_lost;
+  d.announcements = obs::count(out.metrics, obs::EventKind::kAnnounce);
+  d.withdrawals = obs::count(out.metrics, obs::EventKind::kWithdraw);
+  d.deaggregations = obs::count(out.metrics, obs::EventKind::kDeaggregate);
+  d.lost = obs::count(out.metrics, obs::EventKind::kMsgLost);
   return d;
 }
 
@@ -131,36 +130,15 @@ int main(int argc, char** argv) {
   flags.define_int("burst", 2, "correlated-burst size", 1, 1 << 20);
   flags.define_duration("horizon", 120.0, "fault window length", 1.0, 86400.0);
   flags.define("mrai", "5", "MRAI (sim seconds)");
-  flags.define("trace-file", "",
-               "write the structured event trace (JSONL) here; forces a "
-               "sequential single-entry sweep (--threads-list 1)");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_scaling");
   bench::apply_obs_flags();
 
-  auto thread_counts = parse_list(flags.str("threads-list"));
+  const auto thread_counts = parse_list(flags.str("threads-list"));
   if (thread_counts.empty()) {
     std::fprintf(stderr, "no thread counts in --threads-list=%s\n",
                  flags.str("threads-list").c_str());
     return 1;
-  }
-
-  obs::EventTracer tracer(1 << 16);
-  const bool tracing = !flags.str("trace-file").empty();
-  if (tracing) {
-    if (thread_counts.size() != 1 || thread_counts[0] != 1) {
-      // The tracer is a single coherent stream; interleaving schedules
-      // from worker threads would scramble it.
-      DRAGON_LOG_WARN(
-          "--trace-file forces a sequential sweep (--threads-list 1)");
-      thread_counts = {1};
-    }
-    if (!tracer.open_sink(flags.str("trace-file"))) {
-      std::fprintf(stderr, "cannot open --trace-file %s\n",
-                   flags.str("trace-file").c_str());
-      return 1;
-    }
-    tracer.note(bench::run_meta_json("bench_scaling", flags.u64("seed"), 1));
   }
 
   const auto scenario = bench::build_scenario(flags);
@@ -224,15 +202,7 @@ int main(int argc, char** argv) {
     std::vector<chaos::ScheduleOutcome> outcomes;
     {
       DRAGON_SPAN_ARG("bench", "sweep", "threads", threads);
-      if (tracing) {
-        // Sequential with the tracer attached (single sweep, see above).
-        outcomes.reserve(seeds.size());
-        for (const std::uint64_t seed : seeds) {
-          outcomes.push_back(chaos::run_schedule(spec, seed, &tracer));
-        }
-      } else {
-        outcomes = chaos::run_schedule_sweep(spec, seeds, pool.get());
-      }
+      outcomes = chaos::run_schedule_sweep(spec, seeds, pool.get());
     }
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -301,7 +271,7 @@ int main(int argc, char** argv) {
                    identical ? "yes" : "NO"});
   }
 
-  if (!tracing) {
+  {
     // Pool-overhead audit: the same sweep dispatched through a 1-worker
     // pool.  The sequential entry above runs inline on the calling
     // thread, so pool1 / seq is the runtime's pure dispatch cost (lane
@@ -345,8 +315,6 @@ int main(int argc, char** argv) {
 
   table.print();
   reg.counter("scaling.schedules")->inc(seeds.size());
-  tracer.flush();
-  tracer.export_metrics(reg);
 
   std::string out_path = flags.str("metrics-json");
   if (out_path.empty()) out_path = "BENCH_scaling.json";

@@ -28,7 +28,7 @@ constexpr const char* kNames[] = {"u1", "u2", "u3", "u4", "u5", "u6"};
 void show(const engine::Simulator& sim, const char* title) {
   std::printf("\n== %s (t = %.2fs, %llu updates so far) ==\n", title,
               sim.now(),
-              static_cast<unsigned long long>(sim.stats().updates()));
+              static_cast<unsigned long long>(obs::updates(sim.metrics())));
   for (const char* s : {"10", "10000", "10001", "1001", "101"}) {
     const auto p = bp(s);
     std::printf("  %-6s:", s);
@@ -90,14 +90,17 @@ int main() {
   sim.run_until_quiescent();
   show(sim, "after failure: u4 de-aggregated, u2 re-originates 10");
   std::printf("  de-aggregation events: %llu, aggregate originations: %llu\n",
-              static_cast<unsigned long long>(sim.stats().deaggregations),
-              static_cast<unsigned long long>(sim.stats().agg_originations));
+              static_cast<unsigned long long>(
+                  obs::count(sim.metrics(), obs::EventKind::kDeaggregate)),
+              static_cast<unsigned long long>(
+                  obs::count(sim.metrics(), obs::EventKind::kAggOriginate)));
 
   std::printf("\n*** repairing link {u4, u6} ***\n");
   sim.restore_link(u4, u6);
   sim.run_until_quiescent();
   show(sim, "after repair: p re-aggregated at u4");
   std::printf("  re-aggregation events: %llu\n",
-              static_cast<unsigned long long>(sim.stats().reaggregations));
+              static_cast<unsigned long long>(
+                  obs::count(sim.metrics(), obs::EventKind::kReaggregate)));
   return 0;
 }

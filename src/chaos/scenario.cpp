@@ -361,7 +361,7 @@ void run_damping(const ScenarioSpec& spec, std::uint64_t seed,
       ok = false;
       break;
     }
-    const std::uint64_t updates = sim.stats().updates();
+    const std::uint64_t updates = obs::updates(sim.metrics());
     if (damped) {
       out.updates_damped = updates;
       if (const auto* c =
@@ -393,7 +393,7 @@ void run_jitter(const ScenarioSpec& spec, std::uint64_t seed,
   sweep.invariants.max_sources = 48;
   const ScheduleOutcome schedule = run_schedule(sweep, seed);
   out.plan_json = schedule.plan_json;
-  out.updates = schedule.stats.updates();
+  out.updates = obs::updates(schedule.metrics);
   out.recovery =
       schedule.skipped ? 0.0 : schedule.end_time - schedule.first_action;
   out.diagnostics = schedule.diagnostics;

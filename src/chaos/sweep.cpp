@@ -148,10 +148,6 @@ ScheduleOutcome run_schedule(const SweepSpec& spec, std::uint64_t seed,
     out.oracle_ok = true;
   }
 
-  out.stats = sim.stats();
-  if (const auto* lost = sim.metrics().find_counter("dragon.engine.msgs_lost")) {
-    out.msgs_lost = lost->value();
-  }
   out.metrics.merge_from(sim.metrics());
   return out;
 }

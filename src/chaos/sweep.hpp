@@ -50,10 +50,10 @@ struct ScheduleOutcome {
   double first_action = 0.0;
   double last_action = 0.0;
   double end_time = 0.0;
-  /// Post-plan stats (the registry is reset after bring-up).
-  engine::Stats stats;
-  std::uint64_t msgs_lost = 0;
-  /// Copy of the simulator's registry after the schedule completed.
+  /// Copy of the simulator's registry after the schedule completed
+  /// (reset after bring-up, so it counts the plan's events only; read
+  /// with obs::count / obs::updates).  Empty when the schedule was
+  /// skipped or failed.
   obs::MetricsRegistry metrics;
   /// The plan, serialised for replayable bug reports.
   std::string plan_json;

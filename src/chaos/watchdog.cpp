@@ -109,24 +109,23 @@ std::string describe_stall(const engine::Simulator& sim,
       out += '\n';
     }
   }
-  const engine::Stats stats = sim.stats();
+  const auto count = [&sim](obs::EventKind kind) {
+    return static_cast<unsigned long long>(obs::count(sim.metrics(), kind));
+  };
   std::snprintf(buf, sizeof(buf),
                 "  updates: %llu announcements, %llu withdrawals; "
                 "deagg=%llu reagg=%llu downgrades=%llu agg_orig=%llu\n",
-                static_cast<unsigned long long>(stats.announcements),
-                static_cast<unsigned long long>(stats.withdrawals),
-                static_cast<unsigned long long>(stats.deaggregations),
-                static_cast<unsigned long long>(stats.reaggregations),
-                static_cast<unsigned long long>(stats.downgrades),
-                static_cast<unsigned long long>(stats.agg_originations));
+                count(obs::EventKind::kAnnounce),
+                count(obs::EventKind::kWithdraw),
+                count(obs::EventKind::kDeaggregate),
+                count(obs::EventKind::kReaggregate),
+                count(obs::EventKind::kDowngrade),
+                count(obs::EventKind::kAggOriginate));
   out += buf;
   const obs::Gauge* fib = sim.metrics().find_gauge("dragon.engine.fib_entries");
-  const obs::Counter* lost =
-      sim.metrics().find_counter("dragon.engine.msgs_lost");
   std::snprintf(buf, sizeof(buf), "  fib_entries=%.0f msgs_lost=%llu\n",
                 fib != nullptr ? fib->value() : 0.0,
-                static_cast<unsigned long long>(
-                    lost != nullptr ? lost->value() : 0));
+                count(obs::EventKind::kMsgLost));
   out += buf;
   if (tracer != nullptr && tracer->size() > 0) {
     // Tail of the trace ring: the protocol's last moves before the stall.

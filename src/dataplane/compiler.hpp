@@ -53,8 +53,6 @@ class FibCompiler {
     return std::make_unique<const LpmTable>(LpmTable::compile(fib, config_));
   }
 
-  [[nodiscard]] const LpmConfig& config() const noexcept { return config_; }
-
  private:
   LpmConfig config_;
 };

@@ -112,7 +112,6 @@ class EpochReader {
 
   void pin() noexcept { domain_.pin(id_); }
   void unpin() noexcept { domain_.unpin(id_); }
-  [[nodiscard]] EpochDomain::ReaderId id() const noexcept { return id_; }
 
  private:
   EpochDomain& domain_;
@@ -167,12 +166,6 @@ class EpochPublished {
   [[nodiscard]] std::size_t publish_count() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return publish_count_;
-  }
-
-  /// Retired tables not yet freed (drain check for tests).
-  [[nodiscard]] std::size_t retired_count() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return retired_.size();
   }
 
  private:

@@ -55,13 +55,9 @@ LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
 
   // Allocates a fresh bucket whose 256 slots inherit `fill` (the shorter
   // match covering the whole stride), returning its index.
-  const auto new_bucket = [&t](std::uint32_t fill, int depth) -> std::uint32_t {
+  const auto new_bucket = [&t](std::uint32_t fill) -> std::uint32_t {
     const auto b = static_cast<std::uint32_t>(t.buckets_.size() / 256);
     t.buckets_.insert(t.buckets_.end(), 256, fill);
-    if (t.stats_.bucket_depth_hist.size() < static_cast<std::size_t>(depth)) {
-      t.stats_.bucket_depth_hist.resize(static_cast<std::size_t>(depth), 0);
-    }
-    ++t.stats_.bucket_depth_hist[static_cast<std::size_t>(depth) - 1];
     return b;
   };
 
@@ -86,14 +82,13 @@ LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
     std::size_t slot = first >> t.root_shift_;
     int shift = t.root_shift_;
     int rem = len - t.top_bits_;
-    int depth = 0;
     for (;;) {
       const std::uint32_t e = in_root ? t.top_[slot] : t.buckets_[slot];
       std::uint32_t bucket;
       if (e & kBucketBit) {
         bucket = e & ~kBucketBit;
       } else {
-        bucket = new_bucket(e, depth + 1);
+        bucket = new_bucket(e);
         const std::uint32_t ptr = kBucketBit | bucket;
         if (in_root) {
           t.top_[slot] = ptr;
@@ -101,7 +96,6 @@ LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
           t.buckets_[slot] = ptr;
         }
       }
-      ++depth;
       shift -= 8;
       const std::size_t idx = (first >> shift) & 0xFFu;
       if (rem <= 8) {

@@ -44,9 +44,6 @@ struct LpmStats {
   std::size_t palette_size = 0;  ///< distinct next hops
   std::size_t bucket_count = 0;  ///< 256-entry overflow buckets allocated
   std::size_t table_bytes = 0;   ///< root + buckets + palette, in bytes
-  /// bucket_depth_hist[d] = buckets whose chain depth below the root is
-  /// d+1 (a /32 under top_bits=16 reaches depth 2).
-  std::vector<std::size_t> bucket_depth_hist;
 };
 
 class LpmTable {

@@ -86,17 +86,12 @@ void Simulator::dragon_update_cr(NodeId u, PrefixId q) {
   if (filter != entry.filtered) {
     entry.filtered = filter;
     if (filter) {
-      c_filter_->inc();
       g_filtered_->add(1.0);
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kFilter, u,
-                         interner_.prefix_of(q),
-                         static_cast<std::uint32_t>(entry.elected));
+      emit(obs::EventKind::kFilter, u, interner_.prefix_of(q), entry.elected);
     } else {
-      c_unfilter_->inc();
       g_filtered_->add(-1.0);
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kUnfilter, u,
-                         interner_.prefix_of(q),
-                         static_cast<std::uint32_t>(entry.elected));
+      emit(obs::EventKind::kUnfilter, u, interner_.prefix_of(q),
+           entry.elected);
     }
     sync_entry_obs(u, q, entry);
     mark_pending(u, q);
@@ -147,10 +142,7 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
     if (qe != nullptr && qe->elected == kUnreachable) lost.push_back(q);
   }
   if (!violating.empty() || !lost.empty()) {
-    c_ra_violation_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kRaViolation,
-                       rec.origin, rec.root,
-                       static_cast<std::uint32_t>(worst_attr));
+    emit(obs::EventKind::kRaViolation, rec.origin, rec.root, worst_attr);
   }
 
   // A §3.9 downgrade is RA-compliant only when the reachable more-specifics
@@ -182,9 +174,7 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
     rec.fragments = std::move(fragments);
     if (!rec.deaggregated) {
       rec.deaggregated = true;
-      c_deagg_->inc();
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kDeaggregate,
-                         rec.origin, rec.root);
+      emit(obs::EventKind::kDeaggregate, rec.origin, rec.root);
       node.route(root_id).origin_paused = true;
       reelect_and_react(rec.origin, root_id);
     }
@@ -213,9 +203,7 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
 
   if (rec.deaggregated) {
     // The lost prefixes are routable again: restore the root.
-    c_reagg_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kReaggregate,
-                       rec.origin, rec.root);
+    emit(obs::EventKind::kReaggregate, rec.origin, rec.root);
     rec.deaggregated = false;
     const auto old_fragments = std::move(rec.fragments);
     rec.fragments.clear();
@@ -243,10 +231,7 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
   if (root_entry.origin_attr != worst_attr) {
     if (project(worst_attr) > project(rec.attr) &&
         project(rec.effective_attr) <= project(rec.attr)) {
-      c_downgrade_->inc();
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kDowngrade,
-                         rec.origin, rec.root,
-                         static_cast<std::uint32_t>(worst_attr));
+      emit(obs::EventKind::kDowngrade, rec.origin, rec.root, worst_attr);
     }
     rec.effective_attr = worst_attr;
     root_entry.origin_attr = worst_attr;
@@ -302,9 +287,7 @@ void Simulator::dragon_check_reaggregation(NodeId u, PrefixId root,
     entry.origin_reagg = true;
     entry.origin_attr = attr;
     entry.origin_paused = false;
-    c_agg_orig_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kAggOriginate,
-                       u, root_pfx, static_cast<std::uint32_t>(attr));
+    emit(obs::EventKind::kAggOriginate, u, root_pfx, attr);
     reelect_and_react(u, root);
   } else if (!should && entry.originated && entry.origin_reagg) {
     const auto missing = core::deaggregate_excluding(root_pfx, pieces);
@@ -322,8 +305,7 @@ void Simulator::dragon_check_reaggregation(NodeId u, PrefixId root,
     entry.originated = false;
     entry.origin_reagg = false;
     entry.origin_attr = kUnreachable;
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kAggStop, u,
-                       root_pfx);
+    emit(obs::EventKind::kAggStop, u, root_pfx);
     reelect_and_react(u, root);
   }
 }

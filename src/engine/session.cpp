@@ -96,8 +96,7 @@ void Simulator::retain_stale(NodeId v, NodeId n) {
   if (nio.stale_since == 0.0) nio.stale_since = queue_.now();
   g_stale_->add(static_cast<double>(added));
   c_stale_retained_->inc(added);
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kStaleRetain, v,
-                     static_cast<std::int64_t>(n));
+  emit(obs::EventKind::kStaleRetain, v, n);
 }
 
 void Simulator::drop_stale(NodeId v, NodeId n) {
@@ -122,8 +121,7 @@ void Simulator::sweep_stale(NodeId v, NodeId n, bool expired) {
     g_stale_->add(-static_cast<double>(doomed.size()));
     nio.stale.clear();
     (expired ? c_stale_expired_ : c_stale_swept_)->inc(doomed.size());
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kStaleSweep, v,
-                       static_cast<std::int64_t>(n));
+    emit(obs::EventKind::kStaleSweep, v, n);
   }
   if (nio.stale_since != 0.0) {
     h_resync_->observe(
@@ -154,9 +152,7 @@ void Simulator::session_refresh(NodeId x, NodeId y) {
 }
 
 void Simulator::establish_session(NodeId u, NodeId v) {
-  c_sess_est_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kSessionUp, u,
-                     static_cast<std::int64_t>(v));
+  emit(obs::EventKind::kSessionUp, u, v);
   // Two passes: both directions must read kEstablished (channel_up) before
   // either side's refresh tries to flush, or the first side's batch would
   // sit in pending with no flush scheduled.
@@ -190,9 +186,7 @@ void Simulator::establish_session(NodeId u, NodeId v) {
 
 void Simulator::teardown_session(NodeId u, NodeId v) {
   // Bilateral: the transport's failure is visible at both ends at once.
-  c_sess_torn_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kSessionDown, u,
-                     static_cast<std::int64_t>(v));
+  emit(obs::EventKind::kSessionDown, u, v);
   abort_restart_wait(u, v);
   for (const auto& [x, y] : {std::pair{u, v}, std::pair{v, u}}) {
     NeighborIo& nio = io(x, y);
@@ -246,9 +240,7 @@ void Simulator::session_on_loss(NodeId u, NodeId v) {
     io(u, v).probing = false;
     if (sess_epoch(u, v) != eu || sess_epoch(v, u) != ev) return;
     if (!link_alive(u, v) || !node_up(u) || !node_up(v)) return;
-    c_hold_expire_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kHoldExpire, v,
-                       static_cast<std::int64_t>(u));
+    emit(obs::EventKind::kHoldExpire, v, u);
     teardown_session(u, v);
   });
 }
@@ -259,9 +251,7 @@ void Simulator::session_hold_expired(NodeId v, NodeId n) {
   // link event on the channel would have bumped it — but keep the check
   // as a defensive invariant.
   if (node_up(n)) return;
-  c_hold_expire_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kHoldExpire, v,
-                     static_cast<std::int64_t>(n));
+  emit(obs::EventKind::kHoldExpire, v, n);
   abort_restart_wait(v, n);
   NeighborIo& nio = io(v, n);
   nio.sent.clear();
@@ -287,17 +277,13 @@ void Simulator::session_hold_expired(NodeId v, NodeId n) {
     });
   } else {
     nio.sess = SessionState::kDown;
-    c_sess_torn_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kSessionDown, v,
-                       static_cast<std::int64_t>(n));
+    emit(obs::EventKind::kSessionDown, v, n);
     flush_rib_in_from(v, n);
   }
 }
 
 void Simulator::send_eor(NodeId u, NodeId v) {
-  c_eor_sent_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kEorSend, u,
-                     static_cast<std::int64_t>(v));
+  emit(obs::EventKind::kEorSend, u, v);
   const std::uint64_t eu = sess_epoch(u, v);
   const std::uint64_t ev = sess_epoch(v, u);
   // Reliable control marker, delivered at the wire's deterministic upper
@@ -312,9 +298,7 @@ void Simulator::send_eor(NodeId u, NodeId v) {
 }
 
 void Simulator::recv_eor(NodeId v, NodeId u) {
-  c_eor_recv_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kEorRecv, v,
-                     static_cast<std::int64_t>(u));
+  emit(obs::EventKind::kEorRecv, v, u);
   // A restarting v collects EoRs; the last one ends its deferral.
   const auto it = eor_wait_.find(v);
   if (it != eor_wait_.end() && it->second.erase(u) > 0 && it->second.empty()) {
@@ -365,10 +349,8 @@ void Simulator::clear_node_state(NodeId n) {
   node.routes.for_each_sorted(interner_, [&](PrefixId p, RouteEntry& entry) {
     if (entry.fib_installed) {
       entry.fib_installed = false;
-      c_fib_remove_->inc();
       g_fib_->add(-1.0);
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kFibRemove, n,
-                         interner_.prefix_of(p));
+      emit(obs::EventKind::kFibRemove, n, interner_.prefix_of(p));
     }
     if (entry.elected != kUnreachable && entry.filtered) {
       g_filtered_->add(-1.0);
@@ -405,8 +387,7 @@ void Simulator::crash_node(NodeId n) {
   }
   down_.insert(n);
   const std::uint64_t gen = ++node_gen_[n];
-  c_node_crash_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kNodeCrash, n);
+  emit(obs::EventKind::kNodeCrash, n);
   // A crash mid-deferral abandons the deferral outright.
   eor_wait_.erase(n);
   // Volatile origination state dies with the control plane: rule RA's
@@ -470,8 +451,7 @@ void Simulator::restart_node(NodeId n) {
   }
   down_.erase(n);
   ++node_gen_[n];  // cancels the pending forwarding freeze-expiry wipe
-  c_node_restart_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kNodeRestart, n);
+  emit(obs::EventKind::kNodeRestart, n);
   clear_node_state(n);  // idempotent against an already-expired freeze
   // Deferral set first: establish_session consults restart_deferred(n) to
   // keep n's own refresh (and EoR) out of the initial exchange.

@@ -95,35 +95,17 @@ Simulator::Simulator(const topology::Topology& topo,
     node_class_[u] = topo.is_stub(u) ? 0 : (topo.is_root(u) ? 2 : 1);
   }
 
-  c_announce_ = metrics_.counter("dragon.engine.announcements");
-  c_withdraw_ = metrics_.counter("dragon.engine.withdrawals");
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    const std::string name = obs::counter_name(static_cast<obs::EventKind>(k));
+    if (!name.empty()) event_counters_[k] = metrics_.counter(name);
+  }
   for (int c = 0; c < 3; ++c) {
     c_class_updates_[c] = metrics_.counter(
         std::string("dragon.engine.updates.class.") + kNodeClassNames[c]);
   }
-  c_mrai_flush_ = metrics_.counter("dragon.engine.mrai_flushes");
-  c_msg_lost_ = metrics_.counter("dragon.engine.msgs_lost");
-  c_msg_dup_ = metrics_.counter("dragon.engine.msgs_dup");
-  c_msg_stale_ = metrics_.counter("dragon.engine.msgs_stale");
-  c_fib_install_ = metrics_.counter("dragon.engine.fib_installs");
-  c_fib_remove_ = metrics_.counter("dragon.engine.fib_removals");
-  c_filter_ = metrics_.counter("dragon.dragon.filter_transitions");
-  c_unfilter_ = metrics_.counter("dragon.dragon.unfilter_transitions");
-  c_deagg_ = metrics_.counter("dragon.dragon.deaggregations");
-  c_reagg_ = metrics_.counter("dragon.dragon.reaggregations");
-  c_downgrade_ = metrics_.counter("dragon.dragon.downgrades");
-  c_agg_orig_ = metrics_.counter("dragon.dragon.agg_originations");
-  c_ra_violation_ = metrics_.counter("dragon.dragon.ra_violations");
-  c_sess_est_ = metrics_.counter("dragon.session.established");
-  c_sess_torn_ = metrics_.counter("dragon.session.torn_down");
-  c_hold_expire_ = metrics_.counter("dragon.session.hold_expiries");
-  c_node_crash_ = metrics_.counter("dragon.session.node_crashes");
-  c_node_restart_ = metrics_.counter("dragon.session.node_restarts");
   c_stale_retained_ = metrics_.counter("dragon.session.stale_retained");
   c_stale_swept_ = metrics_.counter("dragon.session.stale_swept");
   c_stale_expired_ = metrics_.counter("dragon.session.stale_expired");
-  c_eor_sent_ = metrics_.counter("dragon.session.eor_sent");
-  c_eor_recv_ = metrics_.counter("dragon.session.eor_received");
   c_damp_suppress_ = metrics_.counter("dragon.engine.damp_suppressions");
   c_damp_release_ = metrics_.counter("dragon.engine.damp_releases");
   g_fib_ = metrics_.gauge("dragon.engine.fib_entries");
@@ -133,17 +115,6 @@ Simulator::Simulator(const topology::Topology& topo,
   h_update_depth_ = metrics_.histogram("dragon.engine.update_prefix_depth");
   h_queue_depth_ = metrics_.histogram("dragon.engine.queue_depth");
   h_resync_ = metrics_.histogram("dragon.session.resync_ms");
-}
-
-Stats Simulator::stats() const {
-  Stats s;
-  s.announcements = c_announce_->value();
-  s.withdrawals = c_withdraw_->value();
-  s.deaggregations = c_deagg_->value();
-  s.reaggregations = c_reagg_->value();
-  s.downgrades = c_downgrade_->value();
-  s.agg_originations = c_agg_orig_->value();
-  return s;
 }
 
 std::uint32_t Simulator::io_slot(NodeId u, NodeId v) const {
@@ -291,7 +262,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
       e.originated = false;
       e.origin_reagg = false;
       e.origin_attr = kUnreachable;
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kAggStop, u, p);
+      emit(obs::EventKind::kAggStop, u, p);
       reelect_and_react(u, pid);
     }
   }
@@ -394,8 +365,7 @@ void Simulator::fail_link(NodeId a, NodeId b) {
     return;
   }
   if (!failed_.insert(link_key(a, b)).second) return;
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kLinkFail, a,
-                     static_cast<std::int64_t>(b));
+  emit(obs::EventKind::kLinkFail, a, b);
   if (config_.session.enabled) {
     // The transport under the session died: every pending session timer on
     // the channel dies on the epoch bump, stale retention ends (the link,
@@ -436,8 +406,7 @@ void Simulator::restore_link(NodeId a, NodeId b) {
     return;
   }
   if (failed_.erase(link_key(a, b)) == 0) return;
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kLinkRestore, a,
-                     static_cast<std::int64_t>(b));
+  emit(obs::EventKind::kLinkRestore, a, b);
   if (config_.session.enabled) {
     // The session layer owns re-establishment: an immediate bilateral
     // bring-up with route-refresh + End-of-RIB semantics.  A down endpoint
@@ -465,7 +434,7 @@ void Simulator::attach_timeline(obs::Timeline* timeline) {
 obs::Timeline::Sample Simulator::timeline_sample(Time t) const {
   obs::Timeline::Sample s;
   s.t = t;
-  s.updates = c_announce_->value() + c_withdraw_->value();
+  s.updates = obs::updates(metrics_);
   s.fib_entries = static_cast<std::uint64_t>(g_fib_->value());
   const double filtered = g_filtered_->value();
   const double elected = filtered + g_fib_->value();
@@ -760,10 +729,7 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
   // carry the same seq and are re-applied idempotently.
   std::uint64_t& rx = nio.rx_seq.get_or_insert(p, 0);
   if (seq < rx) {
-    c_msg_stale_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kMsgStale, to,
-                       static_cast<std::int64_t>(from),
-                       interner_.prefix_of(p), 0u);
+    emit(obs::EventKind::kMsgStale, to, from, interner_.prefix_of(p), 0u);
     return;
   }
   rx = seq;
@@ -772,12 +738,8 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
     // "replace stale route on update").  The remainder is swept at EoR.
     if (!nio.stale.empty() && nio.stale.erase(p)) g_stale_->add(-1.0);
   }
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(),
-                     wire ? obs::EventKind::kRecvAnnounce
-                          : obs::EventKind::kRecvWithdraw,
-                     to, static_cast<std::int64_t>(from),
-                     interner_.prefix_of(p),
-                     wire ? static_cast<std::uint32_t>(*wire) : 0u);
+  emit(wire ? obs::EventKind::kRecvAnnounce : obs::EventKind::kRecvWithdraw,
+       to, from, interner_.prefix_of(p), wire.value_or(0u));
   const Attr imported =
       wire ? alg_.extend(label(to, from), *wire) : kUnreachable;
   if (config_.damping.enabled && damp_absorb(to, from, p, imported)) {
@@ -913,9 +875,7 @@ void Simulator::reelect_and_react(NodeId u, PrefixId p) {
                      entry.elected, (int)filtered_before,
                      (int)entry.filtered);
     if (entry.elected != before) {
-      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kElect, u,
-                         interner_.prefix_of(p),
-                         static_cast<std::uint32_t>(entry.elected));
+      emit(obs::EventKind::kElect, u, interner_.prefix_of(p), entry.elected);
     }
     mark_pending(u, p);
   }
@@ -927,15 +887,11 @@ void Simulator::sync_entry_obs(NodeId u, PrefixId p, RouteEntry& entry) {
   if (active == entry.fib_installed) return;
   entry.fib_installed = active;
   if (active) {
-    c_fib_install_->inc();
     g_fib_->add(1.0);
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kFibInstall, u,
-                       interner_.prefix_of(p));
+    emit(obs::EventKind::kFibInstall, u, interner_.prefix_of(p));
   } else {
-    c_fib_remove_->inc();
     g_fib_->add(-1.0);
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kFibRemove, u,
-                       interner_.prefix_of(p));
+    emit(obs::EventKind::kFibRemove, u, interner_.prefix_of(p));
   }
 }
 
@@ -1027,9 +983,7 @@ void Simulator::flush_now(NodeId u, NodeId v) {
   }
   nio.pending.clear();
   if (sent_any) {
-    c_mrai_flush_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kMraiFlush, u,
-                       static_cast<std::int64_t>(v));
+    emit(obs::EventKind::kMraiFlush, u, v);
     const double jitter = config_.mrai_jitter * rng_.uniform();
     nio.mrai_ready = queue_.now() + config_.mrai * (1.0 - jitter);
   }
@@ -1044,30 +998,18 @@ void Simulator::flush_now(NodeId u, NodeId v) {
 
 void Simulator::send(NodeId from, NodeId to, PrefixId p,
                      std::optional<Attr> wire) {
-  if (wire) {
-    c_announce_->inc();
-  } else {
-    c_withdraw_->inc();
-  }
   c_class_updates_[node_class_[from]]->inc();
   h_update_depth_->observe(
       static_cast<std::uint64_t>(interner_.prefix_of(p).length()));
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(),
-                     wire ? obs::EventKind::kAnnounce
-                          : obs::EventKind::kWithdraw,
-                     from, static_cast<std::int64_t>(to),
-                     interner_.prefix_of(p),
-                     wire ? static_cast<std::uint32_t>(*wire) : 0u);
+  emit(wire ? obs::EventKind::kAnnounce : obs::EventKind::kWithdraw, from, to,
+       interner_.prefix_of(p), wire.value_or(0u));
   const std::uint64_t seq = ++msg_seq_;
   schedule_delivery(from, to, p, wire, seq);
   if (config_.faults.duplicate > 0.0 &&
       msg_rng_.chance(config_.faults.duplicate)) {
     // Second wire copy with the same sequence: delivered (idempotently)
     // unless a newer update overtakes it first.
-    c_msg_dup_->inc();
-    DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kMsgDup, from,
-                       static_cast<std::int64_t>(to), interner_.prefix_of(p),
-                       0u);
+    emit(obs::EventKind::kMsgDup, from, to, interner_.prefix_of(p), 0u);
     schedule_delivery(from, to, p, wire, seq);
   }
 }
@@ -1088,10 +1030,7 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, PrefixId p,
 }
 
 void Simulator::drop_and_retry(NodeId u, NodeId v, PrefixId p) {
-  c_msg_lost_->inc();
-  DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kMsgLost, u,
-                     static_cast<std::int64_t>(v), interner_.prefix_of(p),
-                     0u);
+  emit(obs::EventKind::kMsgLost, u, v, interner_.prefix_of(p), 0u);
   // An observed loss is the session layer's signal that keepalives share
   // the channel's fate: maybe this hold window eats them all.
   session_on_loss(u, v);

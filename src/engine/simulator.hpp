@@ -23,6 +23,7 @@
 // evaluation setting where AS-path lengths do not block filtering (§3.5).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -139,23 +140,6 @@ struct Config {
   std::uint64_t seed = 7;
 };
 
-/// Thin façade over the simulator's metrics registry: the historical
-/// six-counter summary, materialised on demand from the registry's
-/// `dragon.engine.*` / `dragon.dragon.*` counters (which are the source
-/// of truth — see src/obs/metrics.hpp).
-struct Stats {
-  std::uint64_t announcements = 0;
-  std::uint64_t withdrawals = 0;
-  std::uint64_t deaggregations = 0;    // RA-forced de-aggregation events
-  std::uint64_t reaggregations = 0;    // origins restoring the aggregate
-  std::uint64_t downgrades = 0;        // RA-forced announcement downgrades (§3.9)
-  std::uint64_t agg_originations = 0;  // §3.7 self-organised originations
-
-  [[nodiscard]] std::uint64_t updates() const {
-    return announcements + withdrawals;
-  }
-};
-
 class Simulator {
  public:
   using NodeId = topology::NodeId;
@@ -260,8 +244,6 @@ class Simulator {
   void inject(Time t, std::function<void()> fn);
 
   [[nodiscard]] Time now() const { return queue_.now(); }
-  /// The Stats façade, read from the metrics registry.
-  [[nodiscard]] Stats stats() const;
   /// Zeroes the registry's counters and histograms (gauges keep tracking
   /// current state, e.g. installed FIB entries).
   void reset_stats() { metrics_.reset_accumulators(); }
@@ -269,7 +251,8 @@ class Simulator {
   // --- Observability -------------------------------------------------------
 
   /// The simulator's own metrics registry (counters under
-  /// `dragon.engine.*` / `dragon.dragon.*`; see DESIGN.md).
+  /// `dragon.engine.*` / `dragon.dragon.*` / `dragon.session.*`; see
+  /// DESIGN.md).  Read event counts with obs::count / obs::updates.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
@@ -437,6 +420,18 @@ class Simulator {
   /// fib_entries gauge, trace events) with its current elected/filtered
   /// state.  Idempotent.
   void sync_entry_obs(NodeId u, prefix::PrefixId p, RouteEntry& entry);
+  /// Records one engine event: bumps its kind's registry counter (kinds
+  /// with one, see obs::counter_name) and, with a tracer attached, traces
+  /// it.  Callers pass only references and values they already hold (an
+  /// interned prefix by reference, never a copy), so without a tracer the
+  /// trace arguments cost at most an address computation.
+  template <typename... TraceArgs>
+  void emit(obs::EventKind kind, NodeId node, const TraceArgs&... trace) {
+    if (obs::Counter* c = event_counters_[static_cast<std::size_t>(kind)]) {
+      c->inc();
+    }
+    if (tracer_ != nullptr) tracer_->record(queue_.now(), kind, node, trace...);
+  }
   [[nodiscard]] obs::Timeline::Sample timeline_sample(Time t) const;
   void mark_pending(NodeId u, prefix::PrefixId p);
   void try_flush(NodeId u, NodeId v);
@@ -586,32 +581,13 @@ class Simulator {
   /// for the per-node-class update counters.
   std::vector<std::uint8_t> node_class_;
   // Hot-path handles into metrics_ (resolved once in the constructor).
-  obs::Counter* c_announce_;
-  obs::Counter* c_withdraw_;
+  /// Per-kind event counters, indexed by obs::EventKind; nullptr for the
+  /// kinds that are only traced.
+  std::array<obs::Counter*, obs::kEventKindCount> event_counters_{};
   obs::Counter* c_class_updates_[3];
-  obs::Counter* c_mrai_flush_;
-  obs::Counter* c_msg_lost_;
-  obs::Counter* c_msg_dup_;
-  obs::Counter* c_msg_stale_;
-  obs::Counter* c_fib_install_;
-  obs::Counter* c_fib_remove_;
-  obs::Counter* c_filter_;
-  obs::Counter* c_unfilter_;
-  obs::Counter* c_deagg_;
-  obs::Counter* c_reagg_;
-  obs::Counter* c_downgrade_;
-  obs::Counter* c_agg_orig_;
-  obs::Counter* c_ra_violation_;
-  obs::Counter* c_sess_est_;
-  obs::Counter* c_sess_torn_;
-  obs::Counter* c_hold_expire_;
-  obs::Counter* c_node_crash_;
-  obs::Counter* c_node_restart_;
   obs::Counter* c_stale_retained_;
   obs::Counter* c_stale_swept_;
   obs::Counter* c_stale_expired_;
-  obs::Counter* c_eor_sent_;
-  obs::Counter* c_eor_recv_;
   obs::Counter* c_damp_suppress_;
   obs::Counter* c_damp_release_;
   obs::Gauge* g_fib_;

@@ -1,45 +1,92 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 
 namespace dragon::obs {
 
-const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kAnnounce: return "announce";
-    case EventKind::kWithdraw: return "withdraw";
-    case EventKind::kRecvAnnounce: return "recv_announce";
-    case EventKind::kRecvWithdraw: return "recv_withdraw";
-    case EventKind::kElect: return "elect";
-    case EventKind::kFilter: return "filter";
-    case EventKind::kUnfilter: return "unfilter";
-    case EventKind::kFibInstall: return "fib_install";
-    case EventKind::kFibRemove: return "fib_remove";
-    case EventKind::kMraiFlush: return "mrai_flush";
-    case EventKind::kRaViolation: return "ra_violation";
-    case EventKind::kDeaggregate: return "deaggregate";
-    case EventKind::kReaggregate: return "reaggregate";
-    case EventKind::kDowngrade: return "downgrade";
-    case EventKind::kAggOriginate: return "agg_originate";
-    case EventKind::kAggStop: return "agg_stop";
-    case EventKind::kLinkFail: return "link_fail";
-    case EventKind::kLinkRestore: return "link_restore";
-    case EventKind::kMsgLost: return "msg_lost";
-    case EventKind::kMsgDup: return "msg_dup";
-    case EventKind::kMsgStale: return "msg_stale";
-    case EventKind::kNodeCrash: return "node_crash";
-    case EventKind::kNodeRestart: return "node_restart";
-    case EventKind::kSessionUp: return "session_up";
-    case EventKind::kSessionDown: return "session_down";
-    case EventKind::kHoldExpire: return "hold_expire";
-    case EventKind::kStaleRetain: return "stale_retain";
-    case EventKind::kStaleSweep: return "stale_sweep";
-    case EventKind::kEorSend: return "eor_send";
-    case EventKind::kEorRecv: return "eor_recv";
+namespace {
+
+/// One row per kind, in EventKind order: the JSONL name, then the
+/// registry counter that counts the kind's events as its
+/// `dragon.<subsystem>.<name>` parts (none for the kinds the engine only
+/// traces).
+struct KindNames {
+  EventKind kind;
+  const char* trace;
+  const char* subsystem;
+  const char* counter;
+};
+
+constexpr KindNames kKindNames[kEventKindCount] = {
+    {EventKind::kAnnounce, "announce", "engine", "announcements"},
+    {EventKind::kWithdraw, "withdraw", "engine", "withdrawals"},
+    {EventKind::kRecvAnnounce, "recv_announce", nullptr, nullptr},
+    {EventKind::kRecvWithdraw, "recv_withdraw", nullptr, nullptr},
+    {EventKind::kElect, "elect", nullptr, nullptr},
+    {EventKind::kFilter, "filter", "dragon", "filter_transitions"},
+    {EventKind::kUnfilter, "unfilter", "dragon", "unfilter_transitions"},
+    {EventKind::kFibInstall, "fib_install", "engine", "fib_installs"},
+    {EventKind::kFibRemove, "fib_remove", "engine", "fib_removals"},
+    {EventKind::kMraiFlush, "mrai_flush", "engine", "mrai_flushes"},
+    {EventKind::kRaViolation, "ra_violation", "dragon", "ra_violations"},
+    {EventKind::kDeaggregate, "deaggregate", "dragon", "deaggregations"},
+    {EventKind::kReaggregate, "reaggregate", "dragon", "reaggregations"},
+    {EventKind::kDowngrade, "downgrade", "dragon", "downgrades"},
+    {EventKind::kAggOriginate, "agg_originate", "dragon", "agg_originations"},
+    {EventKind::kAggStop, "agg_stop", nullptr, nullptr},
+    {EventKind::kLinkFail, "link_fail", nullptr, nullptr},
+    {EventKind::kLinkRestore, "link_restore", nullptr, nullptr},
+    {EventKind::kMsgLost, "msg_lost", "engine", "msgs_lost"},
+    {EventKind::kMsgDup, "msg_dup", "engine", "msgs_dup"},
+    {EventKind::kMsgStale, "msg_stale", "engine", "msgs_stale"},
+    {EventKind::kNodeCrash, "node_crash", "session", "node_crashes"},
+    {EventKind::kNodeRestart, "node_restart", "session", "node_restarts"},
+    {EventKind::kSessionUp, "session_up", "session", "established"},
+    {EventKind::kSessionDown, "session_down", "session", "torn_down"},
+    {EventKind::kHoldExpire, "hold_expire", "session", "hold_expiries"},
+    {EventKind::kStaleRetain, "stale_retain", nullptr, nullptr},
+    {EventKind::kStaleSweep, "stale_sweep", nullptr, nullptr},
+    {EventKind::kEorSend, "eor_send", "session", "eor_sent"},
+    {EventKind::kEorRecv, "eor_recv", "session", "eor_received"},
+};
+
+constexpr bool rows_follow_enum_order() {
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    if (static_cast<std::size_t>(kKindNames[k].kind) != k) return false;
   }
-  return "unknown";
+  return true;
+}
+static_assert(rows_follow_enum_order());
+
+}  // namespace
+
+const char* to_string(EventKind kind) noexcept {
+  const auto k = static_cast<std::size_t>(kind);
+  return k < kEventKindCount ? kKindNames[k].trace : "unknown";
+}
+
+std::string counter_name(EventKind kind) {
+  const KindNames& row = kKindNames[static_cast<std::size_t>(kind)];
+  if (row.counter == nullptr) return {};
+  return std::string("dragon.") + row.subsystem + "." + row.counter;
+}
+
+std::uint64_t count(const MetricsRegistry& registry, EventKind kind) {
+  const std::string name = counter_name(kind);
+  if (name.empty()) {
+    throw std::invalid_argument(std::string("no registry counter counts \"") +
+                                to_string(kind) + "\" events");
+  }
+  const Counter* c = registry.find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+std::uint64_t updates(const MetricsRegistry& registry) {
+  return count(registry, EventKind::kAnnounce) +
+         count(registry, EventKind::kWithdraw);
 }
 
 std::string TraceRecord::to_json() const {

@@ -9,9 +9,10 @@
 // no sink attached the ring wraps, overwriting the oldest records and
 // counting the drops, so an always-on tracer stays bounded.
 //
-// Emission sites are wrapped in DRAGON_TRACE_EVENT, which records only
-// when the tracer pointer is non-null, so a run without a tracer pays one
-// null check per site.
+// EventKind is also the engine's counting vocabulary: counter_name() maps
+// each kind to the registry counter that counts its events (or to none),
+// and the engine counts and traces an event in one call, so a run without
+// a tracer pays one null check per event for the trace.
 //
 // JSONL schema (DESIGN.md "Observability"):
 //   {"t":<sim seconds>,"kind":"<event>","node":<id>
@@ -25,14 +26,6 @@
 #include <vector>
 
 #include "prefix/prefix.hpp"
-
-#define DRAGON_TRACE_EVENT(tracer, ...)               \
-  do {                                                \
-    auto* dragon_trace_sink_ = (tracer);              \
-    if (dragon_trace_sink_ != nullptr) {              \
-      dragon_trace_sink_->record(__VA_ARGS__);        \
-    }                                                 \
-  } while (0)
 
 namespace dragon::obs {
 
@@ -71,7 +64,27 @@ enum class EventKind : std::uint8_t {
   kEorRecv,       // End-of-RIB marker received from `peer`
 };
 
+/// Number of kinds (kEorRecv stays the last enumerator).
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::kEorRecv) + 1;
+
+/// The kind's JSONL name ("announce", "fib_install", ...).
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
+
+/// The registry counter that counts the kind's events
+/// (`dragon.<subsystem>.<name>`), or "" for a kind that is only traced.
+[[nodiscard]] std::string counter_name(EventKind kind);
+
+/// The kind's event count in a registry the engine filled: a simulator's
+/// own, a copy of it, or a merge of several (0 when the counter was never
+/// created there).  Throws std::invalid_argument for a kind no counter
+/// counts.
+[[nodiscard]] std::uint64_t count(const MetricsRegistry& registry,
+                                  EventKind kind);
+
+/// Network-wide updates (announcements + withdrawals): the paper's Fig. 9
+/// convergence metric.
+[[nodiscard]] std::uint64_t updates(const MetricsRegistry& registry);
 
 struct TraceRecord {
   double sim_time = 0.0;

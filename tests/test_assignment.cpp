@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "dragon/aggregation.hpp"
 #include "prefix/prefix_forest.hpp"
 #include "topology/ancestry.hpp"
 #include "topology/generator.hpp"
+#include "util/rng.hpp"
 
 namespace dragon::addressing {
 namespace {
@@ -170,6 +174,82 @@ TEST(Assignment, RegionalPoolsKeepPiPrefixesRegional) {
         p.bits() >> (prefix::kAddressBits - region_bits);
     EXPECT_EQ(region, topo.region[assignment.origin[static_cast<std::size_t>(r)]]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// §5.1 dataset anchors
+// ---------------------------------------------------------------------------
+
+/// The counts behind bench_dataset's per-AS and aggregation tables for
+/// the seed-1 scenario, built the way bench::build_scenario builds it:
+/// one master Rng(seed) hands out the topology seed, then the assignment
+/// seed; five regions.
+std::map<std::string, double> seed1_anchors(std::uint32_t tier1,
+                                            std::uint32_t transit,
+                                            std::uint32_t stubs) {
+  util::Rng master(1);
+  GeneratorParams tparams;
+  tparams.tier1_count = tier1;
+  tparams.transit_count = transit;
+  tparams.stub_count = stubs;
+  tparams.regions = 5;
+  tparams.seed = master();
+  const auto gen = topology::generate_internet(tparams);
+  AssignmentParams aparams;
+  aparams.seed = master();
+  const Assignment assignment = generate_assignment(gen, aparams);
+  const AssignmentStats stats =
+      compute_stats(assignment, gen.graph.node_count());
+  const auto aggs = core::elect_aggregation_prefixes(gen.graph, assignment);
+  std::unordered_set<NodeId> originators;
+  for (const auto& agg : aggs) {
+    originators.insert(agg.originators.begin(), agg.originators.end());
+  }
+  return {{"ases", gen.graph.node_count()},
+          {"prefixes", assignment.size()},
+          {"parentless", stats.parentless},
+          {"with_parent", stats.with_parent},
+          {"same_origin_as_parent", stats.same_origin_as_parent},
+          {"median_per_as", stats.median_per_as},
+          {"p95_per_as", stats.p95_per_as},
+          {"p99_per_as", stats.p99_per_as},
+          {"aggregates", aggs.size()},
+          {"aggregate_originators", originators.size()},
+          {"pool_exhausted", assignment.pool_exhausted}};
+}
+
+// Default scale (8 tier-1 / 250 transit / 1,800 stubs).  bench_dataset
+// prints these as 17,976 prefixes, 8,188 parentless, 2 / 27 / 155
+// prefixes per AS, 82.734% same-origin children, 10.353% aggregation
+// prefixes and 7.969% of ASs originating one.
+TEST(DatasetAnchors, DefaultScaleSeed1) {
+  const std::map<std::string, double> want{
+      {"ases", 2058},          {"prefixes", 17976},
+      {"parentless", 8188},    {"with_parent", 9788},
+      {"same_origin_as_parent", 8098},
+      {"median_per_as", 2},    {"p95_per_as", 27},
+      {"p99_per_as", 155},     {"aggregates", 1861},
+      {"aggregate_originators", 164},
+      {"pool_exhausted", 0}};
+  EXPECT_EQ(seed1_anchors(8, 250, 1800), want);
+}
+
+// --paper-scale (12 / 5,200 / 33,000) as it is today: the regional pools
+// run dry, 30,160 of 38,212 ASs get no primary block, and the dataset is
+// far from the paper's (61,988 prefixes, 7.5% parentless, 83.722%
+// same-origin children, 1.474% aggregation prefixes, 0.063% of ASs
+// originating one; ROADMAP "Paper scale first").  Sizing blocks to the
+// pool must change these numbers on purpose.
+TEST(DatasetAnchors, PaperScaleSeed1PinsPoolExhaustedDegenerateDataset) {
+  const std::map<std::string, double> want{
+      {"ases", 38212},         {"prefixes", 61988},
+      {"parentless", 4635},    {"with_parent", 57353},
+      {"same_origin_as_parent", 48017},
+      {"median_per_as", 1},    {"p95_per_as", 21},
+      {"p99_per_as", 119},     {"aggregates", 914},
+      {"aggregate_originators", 24},
+      {"pool_exhausted", 30160}};
+  EXPECT_EQ(seed1_anchors(12, 5200, 33000), want);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ using algebra::GrClass;
 using algebra::GrPathAlgebra;
 using engine::Config;
 using engine::Simulator;
+using obs::EventKind;
 using prefix::Prefix;
 using topology::NodeId;
 using dragon::testing::quiesce;
@@ -300,7 +301,7 @@ TEST(SessionReset, WithdrawalsPropagateOnFailure) {
   sim.originate(bp("10"), F2::origin_p, kCust);  // p at u3
   quiesce(sim);
   ASSERT_NE(sim.elected(F2::u1, bp("10")), algebra::kUnreachable);
-  const auto before = sim.stats();
+  const auto withdrawn = obs::count(sim.metrics(), EventKind::kWithdraw);
 
   sim.fail_link(F2::u2, F2::u3);
   quiesce(sim);
@@ -309,7 +310,7 @@ TEST(SessionReset, WithdrawalsPropagateOnFailure) {
   EXPECT_EQ(sim.elected(F2::u2, bp("10")), algebra::kUnreachable);
   // ... downstream keeps it.
   EXPECT_NE(sim.elected(F2::u4, bp("10")), algebra::kUnreachable);
-  EXPECT_GT(sim.stats().withdrawals, before.withdrawals);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kWithdraw), withdrawn);
 }
 
 TEST(SessionReset, RestoreReadvertisesAndRecoversExactState) {
@@ -342,8 +343,8 @@ TEST(SessionReset, DoubleFailAndUnknownLinksAreNoOps) {
 
   sim.fail_link(F2::u2, F2::u3);
   quiesce(sim);
-  const auto announced = sim.stats().announcements;
-  const auto withdrawn = sim.stats().withdrawals;
+  const auto announced = obs::count(sim.metrics(), EventKind::kAnnounce);
+  const auto withdrawn = obs::count(sim.metrics(), EventKind::kWithdraw);
 
   sim.fail_link(F2::u2, F2::u3);   // double fail
   sim.fail_link(F2::u3, F2::u2);   // ... reversed endpoints
@@ -353,8 +354,8 @@ TEST(SessionReset, DoubleFailAndUnknownLinksAreNoOps) {
   sim.restore_link(F2::u1, F2::u4);  // not a link
   sim.restore_link(F2::u1, F2::u2);  // link exists but is not failed
   EXPECT_EQ(sim.queue_depth(), 0u) << "no-ops must not schedule events";
-  EXPECT_EQ(sim.stats().announcements, announced);
-  EXPECT_EQ(sim.stats().withdrawals, withdrawn);
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kAnnounce), announced);
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kWithdraw), withdrawn);
   ASSERT_EQ(sim.failed_links().size(), 1u);
 
   // A restore of a never-failed bogus pair must not have opened a phantom
@@ -462,7 +463,7 @@ TEST(SnapshotRestore, ThrowsOnSnapshotOfAnotherInterner) {
   const auto before = sim.forwarding_links();
   sim.fail_link(F1::u4, F1::u6);
   quiesce(sim);
-  ASSERT_GT(sim.stats().deaggregations, 0u);
+  ASSERT_GT(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
   ASSERT_TRUE(sim.originates(F1::u4, bp("101")));
   sim.restore(snap);
   EXPECT_TRUE(sim.failed_links().empty());
@@ -493,8 +494,10 @@ TEST(SnapshotRestore, RestoreThenFailLinkTrialsReplayExactly) {
     sim.fail_link(F1::u4, F1::u6);
     quiesce(sim);
     std::vector<std::uint32_t> state{
-        static_cast<std::uint32_t>(sim.stats().announcements),
-        static_cast<std::uint32_t>(sim.stats().withdrawals)};
+        static_cast<std::uint32_t>(
+            obs::count(sim.metrics(), EventKind::kAnnounce)),
+        static_cast<std::uint32_t>(
+            obs::count(sim.metrics(), EventKind::kWithdraw))};
     for (NodeId u = 0; u < topo.node_count(); ++u) {
       state.push_back(sim.elected(u, bp("10")));
       state.push_back(sim.elected(u, bp("10000")));
@@ -507,7 +510,7 @@ TEST(SnapshotRestore, RestoreThenFailLinkTrialsReplayExactly) {
   const auto first = run_trial();
   const auto second = run_trial();
   EXPECT_EQ(first, second);
-  EXPECT_GT(sim.metrics().counter("dragon.engine.msgs_lost")->value(), 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kMsgLost), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +720,7 @@ TEST(ChaosSmoke, MessageFaultsStillConvergeToFaultFreeState) {
   sim.originate(bp("10000"), F1::origin_q, kCust);
   const auto run = run_to_quiescence(sim, {1e6, 2'000'000});
   ASSERT_TRUE(run.quiescent) << run.diagnostics;
-  EXPECT_GT(sim.metrics().counter("dragon.engine.msgs_lost")->value(), 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kMsgLost), 0u);
 
   const auto report = check_invariants(sim);
   EXPECT_TRUE(report.ok()) << report.to_string();

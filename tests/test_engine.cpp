@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algebra/gr_path_algebra.hpp"
@@ -15,6 +19,7 @@ namespace {
 
 using algebra::GrClass;
 using algebra::GrPathAlgebra;
+using obs::EventKind;
 using prefix::Prefix;
 using topology::NodeId;
 using F1 = testing::Figure1;
@@ -108,8 +113,8 @@ TEST(Simulator, ConvergesToSweepState) {
         << u;
     EXPECT_EQ(GrPathAlgebra::path_length_of(got), sweep.dist[u]) << u;
   }
-  EXPECT_GT(sim.stats().announcements, 0u);
-  EXPECT_EQ(sim.stats().withdrawals, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kAnnounce), 0u);
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kWithdraw), 0u);
 }
 
 TEST(Simulator, TraceDeliversAlongHierarchy) {
@@ -140,7 +145,7 @@ TEST(Simulator, LinkFailureReconvergesToNewStableState) {
   // Fail {u3, u6}: u3 loses its customer route and must go via u2.
   sim.fail_link(F1::u3, F1::u6);
   quiesce(sim);
-  EXPECT_GT(sim.stats().updates(), 0u);
+  EXPECT_GT(obs::updates(sim.metrics()), 0u);
 
   auto failed_topo = F1::topology();
   failed_topo.remove_link(F1::u3, F1::u6);
@@ -186,13 +191,13 @@ TEST(Simulator, SnapshotRestoreReproducesTrialsExactly) {
   sim.reset_stats();
   sim.fail_link(F1::u4, F1::u6);
   quiesce(sim);
-  const auto first_updates = sim.stats().updates();
+  const auto first_updates = obs::updates(sim.metrics());
 
   sim.restore(snap);
   sim.reset_stats();
   sim.fail_link(F1::u4, F1::u6);
   quiesce(sim);
-  EXPECT_EQ(sim.stats().updates(), first_updates);
+  EXPECT_EQ(obs::updates(sim.metrics()), first_updates);
 }
 
 TEST(Simulator, WithdrawOriginRemovesPrefixNetworkWide) {
@@ -206,7 +211,7 @@ TEST(Simulator, WithdrawOriginRemovesPrefixNetworkWide) {
   for (NodeId u = 0; u < topo.node_count(); ++u) {
     EXPECT_EQ(sim.elected(u, bp("10")), algebra::kUnreachable) << u;
   }
-  EXPECT_GT(sim.stats().withdrawals, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kWithdraw), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ TEST(DragonEngine, PeerFailureIsHandledLocally) {
   sim.fail_link(F1::u3, F1::u6);
   quiesce(sim);
   EXPECT_FALSE(sim.fib_active(F1::u3, bp("10000")));  // u3 forgoes q
-  EXPECT_EQ(sim.stats().deaggregations, 0u);
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
   EXPECT_TRUE(sim.originates(F1::u4, bp("10")));  // p untouched
   for (NodeId u = 0; u < topo.node_count(); ++u) {
     EXPECT_EQ(sim.trace(u, bp("10000").first_address()).outcome,
@@ -287,7 +292,7 @@ TEST(DragonEngine, OriginFailureTriggersDeaggregation) {
   sim.fail_link(F1::u4, F1::u6);
   quiesce(sim);
 
-  EXPECT_GT(sim.stats().deaggregations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
   // u4 no longer announces p itself...
   EXPECT_FALSE(sim.originates(F1::u4, bp("10")));
   // ...but announces the complement prefixes.
@@ -296,7 +301,7 @@ TEST(DragonEngine, OriginFailureTriggersDeaggregation) {
   EXPECT_TRUE(sim.originates(F1::u4, bp("101")));
   // u2 elects customer routes for all pieces and re-originates p (§3.8).
   EXPECT_TRUE(sim.originates(F1::u2, bp("10")));
-  EXPECT_GT(sim.stats().agg_originations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kAggOriginate), 0u);
 
   // Packets to q and to the rest of p still arrive.
   for (NodeId u = 0; u < topo.node_count(); ++u) {
@@ -311,7 +316,7 @@ TEST(DragonEngine, OriginFailureTriggersDeaggregation) {
   // Repairing the link re-aggregates: u4 announces p again, u2 stops.
   sim.restore_link(F1::u4, F1::u6);
   quiesce(sim);
-  EXPECT_GT(sim.stats().reaggregations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kReaggregate), 0u);
   EXPECT_TRUE(sim.originates(F1::u4, bp("10")));
   EXPECT_FALSE(sim.originates(F1::u4, bp("101")));
   EXPECT_FALSE(sim.originates(F1::u2, bp("10")));
@@ -341,8 +346,8 @@ TEST(DragonEngine, RaDowngradeWhenMoreSpecificsTileTheRoot) {
   sim.originate(bp("10"), X, kOriginAttr);
   quiesce(sim);
 
-  EXPECT_GT(sim.stats().downgrades, 0u);
-  EXPECT_EQ(sim.stats().deaggregations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kDowngrade), 0u);
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
   // X still announces p, but with a peer attribute: W (customer) learns it,
   // the peer Z does not.
   EXPECT_TRUE(sim.originates(X, bp("10")));
@@ -440,7 +445,9 @@ TEST(DragonEngine, FewerUpdatesThanBgpAcrossFailures) {
       sim.reset_stats();
       sim.fail_link(links[i].a, links[i].b);
       quiesce(sim);
-      if (sim.stats().deaggregations == 0) total += sim.stats().updates();
+      if (obs::count(sim.metrics(), EventKind::kDeaggregate) == 0) {
+        total += obs::updates(sim.metrics());
+      }
     }
     return total;
   };
@@ -454,55 +461,124 @@ TEST(DragonEngine, FewerUpdatesThanBgpAcrossFailures) {
 // Observability wiring
 // ---------------------------------------------------------------------------
 
-// The Stats façade must agree, field by field, with the registry counters
-// it is materialised from — on the Figure 2 network, where rule RA fires
-// (the origin of p sits below the origin of q, §3.2).
-TEST(Observability, StatsFacadeAgreesWithRegistry) {
-  using F2 = testing::Figure2;
-  const auto topo = F2::topology();
-  GrPathAlgebra alg;
-  Simulator sim(topo, alg, dragon_config());
-  sim.originate(bp("1"), F2::origin_q, kOriginAttr);    // q at u1
-  sim.originate(bp("10"), F2::origin_p, kOriginAttr);   // p at u3
-  quiesce(sim);
-
-  const auto check_agreement = [&] {
-    const Stats facade = sim.stats();
-    const auto& reg = sim.metrics();
-    const auto counter = [&](const char* name) -> std::uint64_t {
-      const auto* c = reg.find_counter(name);
-      EXPECT_NE(c, nullptr) << name;
-      return c != nullptr ? c->value() : 0;
-    };
-    ASSERT_EQ(facade.announcements, counter("dragon.engine.announcements"));
-    ASSERT_EQ(facade.withdrawals, counter("dragon.engine.withdrawals"));
-    ASSERT_EQ(facade.deaggregations,
-              counter("dragon.dragon.deaggregations"));
-    ASSERT_EQ(facade.reaggregations,
-              counter("dragon.dragon.reaggregations"));
-    ASSERT_EQ(facade.downgrades, counter("dragon.dragon.downgrades"));
-    ASSERT_EQ(facade.agg_originations,
-              counter("dragon.dragon.agg_originations"));
+// The engine counts and traces each event in one call, so over any window
+// (here: since the last reset_stats() and tracer clear) every counted
+// kind's registry counter equals its number of trace records, and the
+// per-class update counters partition the update total.  The runs reuse
+// the setups that fire every counted kind: rule RA de-aggregation, §3.7
+// origination and re-aggregation (Figure 1), a §3.9 downgrade, crash and
+// restart with and without graceful restart, and message loss,
+// duplication and reordering.
+TEST(Observability, EventCountersMatchTraceRecords) {
+  std::set<EventKind> fired;
+  obs::EventTracer tracer(1 << 16);
+  const auto check_window = [&](Simulator& sim) {
+    ASSERT_EQ(tracer.dropped(), 0u);
+    std::array<std::uint64_t, obs::kEventKindCount> traced{};
+    tracer.for_each([&](const obs::TraceRecord& r) {
+      ++traced[static_cast<std::size_t>(r.kind)];
+    });
+    for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+      const auto kind = static_cast<EventKind>(k);
+      if (obs::counter_name(kind).empty()) {
+        EXPECT_THROW((void)obs::count(sim.metrics(), kind),
+                     std::invalid_argument);
+        continue;
+      }
+      EXPECT_EQ(obs::count(sim.metrics(), kind), traced[k])
+          << obs::to_string(kind);
+      if (traced[k] > 0) fired.insert(kind);
+    }
+    std::uint64_t class_total = 0;
+    for (const char* c : {"stub", "transit", "tier1"}) {
+      const std::string name = std::string("dragon.engine.updates.class.") + c;
+      class_total += sim.metrics().find_counter(name)->value();
+    }
+    EXPECT_EQ(class_total, obs::updates(sim.metrics()));
+    sim.reset_stats();
+    tracer.clear();
   };
-  check_agreement();
-  EXPECT_GT(sim.stats().announcements, 0u);
 
-  // The per-class update counters partition the update total.
-  const auto class_total =
-      sim.metrics().find_counter("dragon.engine.updates.class.stub")->value() +
-      sim.metrics()
-          .find_counter("dragon.engine.updates.class.transit")
-          ->value() +
-      sim.metrics().find_counter("dragon.engine.updates.class.tier1")->value();
-  EXPECT_EQ(class_total, sim.stats().updates());
+  {  // Figure 1: RA de-aggregation, §3.7 origination, re-aggregation.
+    const auto topo = F1::topology();
+    GrPathAlgebra alg;
+    Simulator sim(topo, alg, dragon_config());
+    sim.set_tracer(&tracer);
+    sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+    sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+    quiesce(sim);
+    check_window(sim);
+    EXPECT_EQ(obs::updates(sim.metrics()), 0u);
+    sim.fail_link(F1::u4, F1::u6);
+    quiesce(sim);
+    sim.restore_link(F1::u4, F1::u6);
+    quiesce(sim);
+    check_window(sim);
+  }
+  {  // §3.9 downgrade (RaDowngradeWhenMoreSpecificsTileTheRoot).
+    enum : NodeId { X = 0, Z = 1, C = 2, W = 3 };
+    topology::Topology topo(4);
+    topo.add_peer_peer(X, Z);
+    topo.add_provider_customer(Z, C);
+    topo.add_provider_customer(X, W);
+    GrPathAlgebra alg;
+    Simulator sim(topo, alg, dragon_config());
+    sim.set_tracer(&tracer);
+    sim.originate(bp("100"), C, kOriginAttr);
+    sim.originate(bp("101"), C, kOriginAttr);
+    quiesce(sim);
+    sim.originate(bp("10"), X, kOriginAttr);
+    quiesce(sim);
+    check_window(sim);
+  }
+  for (const bool graceful_restart : {true, false}) {  // crash / restart
+    using F2 = testing::Figure2;
+    const auto topo = F2::topology();
+    GrPathAlgebra alg;
+    Config config = dragon_config();
+    config.session.enabled = true;
+    config.session.graceful_restart = graceful_restart;
+    Simulator sim(topo, alg, config);
+    sim.set_tracer(&tracer);
+    sim.originate(bp("10"), F2::origin_p, kOriginAttr);
+    sim.originate(bp("0"), F2::origin_q, kOriginAttr);
+    quiesce(sim);
+    sim.crash_node(F2::u3);
+    quiesce(sim);
+    sim.restart_node(F2::u3);
+    quiesce(sim);
+    check_window(sim);
+  }
+  {  // Message loss, duplication and reordering
+     // (MessageFaultsStillConvergeToFaultFreeState), plus origin flaps
+     // whose updates race delayed ones, so the sequence guard discards
+     // stale deliveries.
+    const auto topo = F1::topology();
+    GrPathAlgebra alg;
+    Config config = dragon_config();
+    config.faults.loss = 0.2;
+    config.faults.duplicate = 0.2;
+    config.faults.delay_prob = 0.3;
+    Simulator sim(topo, alg, config);
+    sim.set_tracer(&tracer);
+    sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+    sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+    quiesce(sim);
+    for (int flap = 0; flap < 4; ++flap) {
+      sim.withdraw_origin(bp("10000"), F1::origin_q);
+      (void)sim.run_bounded(sim.now() + 0.2, 1'000'000);
+      sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+      (void)sim.run_bounded(sim.now() + 0.2, 1'000'000);
+    }
+    quiesce(sim);
+    check_window(sim);
+  }
 
-  // Still in agreement after a reset and another convergence episode.
-  sim.reset_stats();
-  check_agreement();
-  EXPECT_EQ(sim.stats().updates(), 0u);
-  sim.fail_link(F2::u2, F2::u3);
-  quiesce(sim);
-  check_agreement();
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (obs::counter_name(kind).empty()) continue;
+    EXPECT_TRUE(fired.contains(kind)) << obs::to_string(kind) << " never fired";
+  }
 }
 
 // The fib_entries gauge tracks the per-node fib_size() sum exactly, and
@@ -554,7 +630,7 @@ TEST(Observability, TracerCapturesConvergence) {
     last_t = r.sim_time;
   });
   EXPECT_TRUE(monotone);
-  EXPECT_EQ(announces, sim.stats().announcements);
+  EXPECT_EQ(announces, obs::count(sim.metrics(), EventKind::kAnnounce));
   // Everybody installs the one prefix.
   EXPECT_EQ(installs, topo.node_count());
 }
@@ -579,7 +655,7 @@ TEST(Observability, TimelineSamplesConvergence) {
     EXPECT_GE(samples[i].updates, samples[i - 1].updates);
   }
   const auto& last = samples.back();
-  EXPECT_EQ(last.updates, sim.stats().updates());
+  EXPECT_EQ(last.updates, obs::updates(sim.metrics()));
   EXPECT_EQ(last.fib_entries, topo.node_count());  // one prefix, all install
   EXPECT_EQ(last.queue_depth, 0u);
 }

@@ -356,10 +356,6 @@ std::string outcome_digest(const chaos::ScheduleOutcome& out) {
   d += std::to_string(out.first_action) + "," +
        std::to_string(out.last_action) + "," + std::to_string(out.end_time) +
        "|";
-  d += std::to_string(out.stats.announcements) + "," +
-       std::to_string(out.stats.withdrawals) + "," +
-       std::to_string(out.stats.deaggregations) + "," +
-       std::to_string(out.msgs_lost) + "|";
   d += out.plan_json + "|" + out.metrics.to_json();
   return d;
 }

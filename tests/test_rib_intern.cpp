@@ -39,6 +39,7 @@ namespace {
 
 using algebra::GrClass;
 using algebra::GrPathAlgebra;
+using obs::EventKind;
 using prefix::kNoPrefixId;
 using prefix::Prefix;
 using prefix::PrefixId;
@@ -377,8 +378,9 @@ Config dragon_config() {
 
 std::vector<std::uint64_t> fault_digest(Simulator& sim,
                                         const topology::Topology& topo) {
-  std::vector<std::uint64_t> digest{sim.stats().announcements,
-                                    sim.stats().withdrawals};
+  std::vector<std::uint64_t> digest{
+      obs::count(sim.metrics(), EventKind::kAnnounce),
+      obs::count(sim.metrics(), EventKind::kWithdraw)};
   for (NodeId u = 0; u < topo.node_count(); ++u) {
     digest.push_back(sim.elected(u, bp("10")));
     digest.push_back(sim.elected(u, bp("10000")));
@@ -561,15 +563,16 @@ TEST(RibIntern, RestoreDirtyMatchesWholeCopy) {
     bool leaks;
   };
   constexpr int kTrialsPerVariant = 20;
-  // Counters that prove the trials ran each mutation path (the fault
-  // kinds of the plans are counted too).
+  // Events and counters that prove the trials ran each mutation path
+  // (the fault kinds of the plans are counted too).
+  const EventKind kPathEvents[] = {
+      EventKind::kMsgLost,      EventKind::kMsgDup,
+      EventKind::kFilter,       EventKind::kDeaggregate,
+      EventKind::kAggOriginate, EventKind::kNodeCrash,
+      EventKind::kNodeRestart,  EventKind::kSessionDown};
   const char* const kPathCounters[] = {
-      "dragon.engine.msgs_lost",          "dragon.engine.msgs_dup",
-      "dragon.engine.damp_suppressions",  "dragon.engine.damp_releases",
-      "dragon.dragon.filter_transitions", "dragon.dragon.deaggregations",
-      "dragon.dragon.agg_originations",   "dragon.session.node_crashes",
-      "dragon.session.node_restarts",     "dragon.session.stale_retained",
-      "dragon.session.stale_swept",       "dragon.session.torn_down"};
+      "dragon.engine.damp_suppressions", "dragon.engine.damp_releases",
+      "dragon.session.stale_retained",   "dragon.session.stale_swept"};
   std::map<std::string, std::uint64_t> coverage;
   for (const Variant variant :
        {Variant{"no-session", false, false, false},
@@ -657,7 +660,7 @@ TEST(RibIntern, RestoreDirtyMatchesWholeCopy) {
         if (faults) chaos::schedule_plan(sim, plan);
         const auto run = chaos::run_to_quiescence(sim, {1e6, 5'000'000});
         ASSERT_TRUE(run.quiescent) << run.diagnostics << plan.to_json();
-        result[k] = {run.events, sim.stats().updates(),
+        result[k] = {run.events, obs::updates(sim.metrics()),
                      static_cast<std::uint64_t>(sim.now() * 1e6)};
         const auto dump = state_dump(sim, topo);
         result[k].insert(result[k].end(), dump.begin(), dump.end());
@@ -667,6 +670,9 @@ TEST(RibIntern, RestoreDirtyMatchesWholeCopy) {
       ASSERT_EQ(first_difference(result[0], result[1]), "none")
           << plan.to_json();
 
+      for (const EventKind kind : kPathEvents) {
+        coverage[obs::counter_name(kind)] += obs::count(a.metrics(), kind);
+      }
       for (const char* name : kPathCounters) {
         coverage[name] += a.metrics().counter(name)->value();
       }
@@ -681,7 +687,7 @@ TEST(RibIntern, RestoreDirtyMatchesWholeCopy) {
     EXPECT_GT(count, 0u) << name << " never ran";
   }
   EXPECT_EQ(coverage.size(),
-            std::size(kPathCounters) +
+            std::size(kPathEvents) + std::size(kPathCounters) +
                 static_cast<std::size_t>(chaos::FaultKind::kCount_) + 2u)
       << "a fault kind never ran";
 }
@@ -717,11 +723,7 @@ TEST(RibIntern, ChaosSweepSequentialVsFourThreadsBitIdentical) {
         << sequential[i].diagnostics << sequential[i].plan_json;
     EXPECT_EQ(parallel[i].plan_json, sequential[i].plan_json);
     EXPECT_EQ(parallel[i].end_time, sequential[i].end_time);
-    EXPECT_EQ(parallel[i].stats.announcements,
-              sequential[i].stats.announcements);
-    EXPECT_EQ(parallel[i].stats.withdrawals,
-              sequential[i].stats.withdrawals);
-    EXPECT_EQ(parallel[i].msgs_lost, sequential[i].msgs_lost);
+    EXPECT_EQ(parallel[i].metrics.to_json(), sequential[i].metrics.to_json());
   }
 }
 

@@ -1,10 +1,14 @@
 // Adversarial scenario engine tests (src/chaos/scenario.hpp): spec
 // parsing, divergence classification against the convergence criteria,
-// leak/hijack blast-radius audits, damping and jitter sweeps, and the
-// thread-count invariance of sweep digests.
+// leak/hijack blast-radius audits, damping and jitter sweeps, the
+// thread-count invariance of sweep digests, and the smoke spec list's
+// outcomes pinned per family.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "algebra/gr_path_algebra.hpp"
@@ -15,6 +19,7 @@
 #include "exec/thread_pool.hpp"
 #include "test_support.hpp"
 #include "topology/graph.hpp"
+#include "util/rng.hpp"
 
 namespace dragon::chaos {
 namespace {
@@ -276,6 +281,54 @@ TEST(ScenarioSmoke, EveryFamilyThreadCountInvariant) {
           << text << " seed " << seeds[i];
     }
   }
+}
+
+// The scenario smoke list (bench/README.md; `bench_chaos --scenario=...
+// --schedules 5 --seed 1`), pinned exactly per family.  Every outcome is a
+// pure function of (spec, seed), so any change in runs, passes,
+// classification, blast radius, suppressions or update volume is a
+// behaviour change that must update these numbers on purpose.  Seeds fork
+// off the master stream once per spec, and outcomes fold into the
+// family's totals, exactly as bench_chaos does.
+TEST(ScenarioSmoke, SmokeListOutcomesPinnedPerFamily) {
+  // runs, passed, converged, oscillating, blast dragon, blast bgp,
+  // suppressions, updates (the bench's dragon.chaos.scenario.<family>.*).
+  using Totals = std::array<std::uint64_t, 8>;
+  std::map<std::string, Totals> got;
+  util::Rng seed_master(1);
+  exec::ThreadPool pool(2);
+  for (const char* text :
+       {"divergence:variant=bad,ring=3", "divergence:variant=disagree,ring=2",
+        "leak:events=2", "hijack:events=2", "damping:events=4",
+        "jitter:events=2"}) {
+    const ScenarioSpec spec = parse_or_die(text);
+    util::Rng spec_rng = seed_master.fork();
+    std::vector<std::uint64_t> seeds(5);
+    for (auto& s : seeds) s = spec_rng();
+    Totals& t = got[to_string(spec.family)];
+    for (const auto& out : run_scenario_sweep(spec, seeds, &pool)) {
+      ++t[0];
+      EXPECT_TRUE(out.ok) << text << " seed " << out.seed << "\n"
+                          << out.diagnostics;
+      if (!out.ok) continue;
+      ++t[1];
+      t[2] += out.classification == Quiescence::kConverged ? 1 : 0;
+      t[3] += out.classification == Quiescence::kOscillating ? 1 : 0;
+      t[4] += out.blast_dragon.affected;
+      t[5] += out.blast_bgp.affected;
+      t[6] += out.suppressions;
+      t[7] += out.updates != 0 ? out.updates
+                               : out.updates_damped + out.updates_undamped;
+    }
+  }
+  const std::map<std::string, Totals> want{
+      {"damping", {5, 5, 5, 0, 0, 0, 1662, 25141}},
+      {"divergence", {10, 10, 0, 10, 0, 0, 0, 0}},
+      {"hijack", {5, 5, 5, 0, 375, 989, 0, 0}},
+      {"jitter", {5, 5, 5, 0, 0, 0, 0, 150}},
+      {"leak", {5, 5, 5, 0, 1177, 1177, 0, 0}},
+  };
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ namespace {
 
 using algebra::GrClass;
 using algebra::GrPathAlgebra;
+using obs::EventKind;
 using prefix::Prefix;
 using topology::NodeId;
 using dragon::testing::quiesce;
@@ -121,7 +122,7 @@ TEST(SessionSmoke, CrashWithoutGrFlushesOnHoldExpiryAndRecovers) {
   EXPECT_EQ(sim.session_state(F2::u2, F2::u3), SessionState::kDown);
   EXPECT_EQ(sim.session_state(F2::u3, F2::u2), SessionState::kDown);
   EXPECT_EQ(total_stale(sim, topo), 0u) << "no retention without GR";
-  EXPECT_GE(counter(sim, "dragon.session.hold_expiries"), 2u);
+  EXPECT_GE(obs::count(sim.metrics(), EventKind::kHoldExpire), 2u);
   const auto report = chaos::check_invariants(sim);
   EXPECT_TRUE(report.ok()) << report.to_string();
   const auto oracle = chaos::differential_check(sim);
@@ -133,8 +134,8 @@ TEST(SessionSmoke, CrashWithoutGrFlushesOnHoldExpiryAndRecovers) {
   EXPECT_FALSE(sim.restart_deferred(F2::u3));
   EXPECT_EQ(elected_all(sim, topo, bp("10")), want_p);
   EXPECT_EQ(elected_all(sim, topo, bp("0")), want_q);
-  EXPECT_EQ(counter(sim, "dragon.session.eor_sent"),
-            counter(sim, "dragon.session.eor_received"));
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kEorSend),
+            obs::count(sim.metrics(), EventKind::kEorRecv));
   const auto after = chaos::check_invariants(sim);
   EXPECT_TRUE(after.ok()) << after.to_string();
   EXPECT_TRUE(chaos::differential_check(sim).match);
@@ -182,8 +183,8 @@ TEST(SessionSmoke, GracefulRestartRetainsStaleAndKeepsForwarding) {
   EXPECT_EQ(total_stale(sim, topo), 0u) << "every stale route swept";
   EXPECT_EQ(elected_all(sim, topo, bp("10")), want_p);
   EXPECT_EQ(elected_all(sim, topo, bp("1")), want_q);
-  EXPECT_EQ(counter(sim, "dragon.session.eor_sent"),
-            counter(sim, "dragon.session.eor_received"));
+  EXPECT_EQ(obs::count(sim.metrics(), EventKind::kEorSend),
+            obs::count(sim.metrics(), EventKind::kEorRecv));
   EXPECT_EQ(counter(sim, "dragon.session.stale_expired"), 0u)
       << "restart beat the window cap; nothing should expire";
   const auto* h = sim.metrics().find_histogram("dragon.session.resync_ms");
@@ -285,9 +286,10 @@ TEST(SessionSmoke, SustainedLossTearsSessionsDownAndStillConverges) {
     sim.originate(bp("10000"), F1::origin_q, kCust);
     const auto run = chaos::run_to_quiescence(sim, {1e6, 5'000'000});
     ASSERT_TRUE(run.quiescent) << "seed=" << seed << "\n" << run.diagnostics;
-    const std::uint64_t torn = counter(sim, "dragon.session.torn_down");
+    const std::uint64_t torn =
+        obs::count(sim.metrics(), EventKind::kSessionDown);
     torn_total += torn;
-    EXPECT_GE(counter(sim, "dragon.session.established"), torn)
+    EXPECT_GE(obs::count(sim.metrics(), EventKind::kSessionUp), torn)
         << "every teardown re-establishes";
     const auto report = chaos::check_invariants(sim);
     EXPECT_TRUE(report.ok()) << "seed=" << seed << "\n" << report.to_string();
@@ -309,11 +311,11 @@ TEST(SessionSmoke, DeaggregationAfterCrashIsRetractedOnResync) {
   sim.originate(bp("10"), F1::origin_p, kCust);     // p at u4
   sim.originate(bp("10000"), F1::origin_q, kCust);  // q at u6 (delegated)
   quiesce(sim);
-  ASSERT_EQ(sim.stats().deaggregations, 0u);
+  ASSERT_EQ(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
 
   sim.crash_node(F1::u6);
   quiesce(sim);
-  EXPECT_GT(sim.stats().deaggregations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kDeaggregate), 0u);
   EXPECT_FALSE(sim.originates(F1::u4, bp("10")));
   EXPECT_TRUE(sim.originates(F1::u4, bp("10001")));
   EXPECT_TRUE(sim.originates(F1::u4, bp("1001")));
@@ -321,7 +323,7 @@ TEST(SessionSmoke, DeaggregationAfterCrashIsRetractedOnResync) {
 
   sim.restart_node(F1::u6);
   quiesce(sim);
-  EXPECT_GT(sim.stats().reaggregations, 0u);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kReaggregate), 0u);
   EXPECT_TRUE(sim.originates(F1::u4, bp("10")));
   for (const char* frag : {"10001", "1001", "101"}) {
     EXPECT_FALSE(sim.originates(F1::u4, bp(frag))) << frag;
@@ -369,9 +371,10 @@ TEST(SessionSmoke, DisabledSessionLayerIsBitIdenticalToSeedEngine) {
     quiesce(sim);
     sim.fail_link(F1::u4, F1::u6);
     quiesce(sim);
-    std::vector<std::uint64_t> digest{sim.stats().announcements,
-                                      sim.stats().withdrawals,
-                                      counter(sim, "dragon.engine.msgs_lost")};
+    std::vector<std::uint64_t> digest{
+        obs::count(sim.metrics(), EventKind::kAnnounce),
+        obs::count(sim.metrics(), EventKind::kWithdraw),
+        obs::count(sim.metrics(), EventKind::kMsgLost)};
     for (NodeId u = 0; u < topo.node_count(); ++u) {
       digest.push_back(sim.elected(u, bp("10")));
       digest.push_back(sim.elected(u, bp("10000")));
@@ -443,10 +446,11 @@ TEST(SessionSnapshot, RepeatedCrashTrialsReplayBitIdentically) {
     (void)sim.run_bounded(sim.now() + 4.0, 1'000'000);
     sim.restart_node(F2::u3);
     quiesce(sim);
-    std::vector<std::uint64_t> digest{sim.stats().announcements,
-                                      sim.stats().withdrawals,
-                                      counter(sim, "dragon.engine.msgs_lost"),
-                                      total_stale(sim, topo)};
+    std::vector<std::uint64_t> digest{
+        obs::count(sim.metrics(), EventKind::kAnnounce),
+        obs::count(sim.metrics(), EventKind::kWithdraw),
+        obs::count(sim.metrics(), EventKind::kMsgLost),
+        total_stale(sim, topo)};
     for (NodeId u = 0; u < topo.node_count(); ++u) {
       digest.push_back(sim.elected(u, bp("10")));
       digest.push_back(sim.elected(u, bp("1")));
@@ -475,7 +479,7 @@ struct SweepDigest {
   std::uint64_t announcements = 0;
   std::uint64_t withdrawals = 0;
   std::uint64_t deaggregations = 0;
-  std::uint64_t msgs_lost = 0;
+  std::uint64_t lost = 0;
 
   bool operator==(const SweepDigest&) const = default;
 };
@@ -487,10 +491,10 @@ SweepDigest digest_of(const chaos::ScheduleOutcome& out) {
   d.ok = out.ok();
   d.gr_probes_run = out.gr_probes_run;
   d.end_time = out.end_time;
-  d.announcements = out.stats.announcements;
-  d.withdrawals = out.stats.withdrawals;
-  d.deaggregations = out.stats.deaggregations;
-  d.msgs_lost = out.msgs_lost;
+  d.announcements = obs::count(out.metrics, EventKind::kAnnounce);
+  d.withdrawals = obs::count(out.metrics, EventKind::kWithdraw);
+  d.deaggregations = obs::count(out.metrics, EventKind::kDeaggregate);
+  d.lost = obs::count(out.metrics, EventKind::kMsgLost);
   return d;
 }
 

@@ -50,52 +50,19 @@ import json
 import sys
 
 
-def load_section(path, metric_prefix, kind):
-    """Flattens every section's `kind` metrics into {"section.name": value}."""
+def load_gauges(path, metric_prefix):
+    """Flattens every section's gauges into {"section.name": value}."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     flat = {}
     for section, body in doc.items():
         if section == "meta" or not isinstance(body, dict):
             continue
-        for name, value in body.get(kind, {}).items():
+        for name, value in body.get("gauges", {}).items():
             if metric_prefix and not name.startswith(metric_prefix):
                 continue
             flat["%s.%s" % (section, name)] = float(value)
     return doc.get("meta", {}), flat
-
-
-def load_gauges(path, metric_prefix):
-    return load_section(path, metric_prefix, "gauges")
-
-
-def check_coverage(baseline, candidate, prefix):
-    """Coverage counters (e.g. scenario runs/passes) must never shrink.
-
-    Every baseline counter whose name (within its section) starts with
-    `prefix` must exist in the candidate with a value >= the baseline's —
-    a refreshed artifact may gain scenario keys freely (candidate-only
-    counters are just noted), but dropping a family or running fewer
-    seeds of one fails the gate.  Returns a list of failure strings.
-    """
-    _, base = load_section(baseline, prefix, "counters")
-    _, cand = load_section(candidate, prefix, "counters")
-    failures = []
-    for name in sorted(set(cand) - set(base)):
-        print("bench_gate: note: coverage counter %s only in candidate "
-              "(not gated)" % name)
-    for name in sorted(base):
-        if name not in cand:
-            failures.append("%s missing from candidate (baseline=%d)"
-                            % (name, base[name]))
-            continue
-        status = "FAIL" if cand[name] < base[name] else "ok"
-        print("bench_gate: %-4s coverage %-55s base=%8d cand=%8d"
-              % (status, name, base[name], cand[name]))
-        if cand[name] < base[name]:
-            failures.append("%s shrank (%d -> %d)"
-                            % (name, base[name], cand[name]))
-    return failures
 
 
 def check_scaling(candidate, floor, pool1_ratio, oversub_ratio):
@@ -105,7 +72,7 @@ def check_scaling(candidate, floor, pool1_ratio, oversub_ratio):
     hw_concurrency the artifact was produced on, so the same gate
     invocation is correct on a laptop and a many-core CI box.
     """
-    meta, gauges = load_section(candidate, "", "gauges")
+    meta, gauges = load_gauges(candidate, "")
     failures = []
 
     hw = meta.get("hw_concurrency")
@@ -191,11 +158,6 @@ def main(argv=None):
     ap.add_argument("--min-baseline", type=float, default=1.0,
                     help="skip gauges whose baseline value is below this "
                          "(sub-ns noise; default: %(default)s)")
-    ap.add_argument("--coverage-prefix", default="",
-                    help="additionally require every baseline *counter* "
-                         "with this name prefix to be present in the "
-                         "candidate with a value >= the baseline's "
-                         "(scenario coverage must never shrink)")
     ap.add_argument("--scaling-check", action="store_true",
                     help="additionally apply the core-aware scaling rules "
                          "to the candidate artifact (see module docstring)")
@@ -238,31 +200,23 @@ def main(argv=None):
         if ratio > args.max_ratio:
             failures.append((name, ratio))
 
-    coverage_failures = []
-    if args.coverage_prefix:
-        coverage_failures = check_coverage(args.baseline, args.candidate,
-                                           args.coverage_prefix)
-
     scaling_failures = []
     if args.scaling_check:
         scaling_failures = check_scaling(args.candidate, args.scaling_floor,
                                          args.overhead_pool1,
                                          args.overhead_oversub)
 
-    if failures or coverage_failures or scaling_failures:
+    if failures or scaling_failures:
         if failures:
             print("bench_gate: FAILED: %d gauge(s) regressed beyond %.1fx:"
                   % (len(failures), args.max_ratio))
             for name, ratio in failures:
                 print("bench_gate:   %s (%.2fx)" % (name, ratio))
-        for detail in coverage_failures:
-            print("bench_gate: FAILED coverage: %s" % detail)
         for detail in scaling_failures:
             print("bench_gate: FAILED scaling: %s" % detail)
         return 1
-    print("bench_gate: passed (%d gauges, max-ratio %.1f%s%s)"
+    print("bench_gate: passed (%d gauges, max-ratio %.1f%s)"
           % (len(shared), args.max_ratio,
-             ", coverage ok" if args.coverage_prefix else "",
              ", scaling ok" if args.scaling_check else ""))
     return 0
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_gate.py (run as a ctest: bench_gate_selftest).
 
-Covers the gauge-ratio gate (tolerance, min-baseline, metric-prefix),
-the coverage-counter rules, and the core-aware scaling rules, by writing
+Covers the gauge-ratio gate (tolerance, min-baseline, metric-prefix)
+and the core-aware scaling rules, by writing
 registry-shaped JSON documents to a temp dir and driving
 ``bench_gate.main(argv)`` directly.
 """
@@ -18,8 +18,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_gate  # noqa: E402
 
 
-def artifact(meta=None, gauges=None, counters=None, section="scaling"):
-    doc = {section: {"counters": counters or {},
+def artifact(meta=None, gauges=None, section="scaling"):
+    doc = {section: {"counters": {},
                      "gauges": gauges or {},
                      "histograms": {}}}
     if meta is not None:
@@ -79,30 +79,6 @@ class BenchGateTest(unittest.TestCase):
         base = artifact(gauges={"micro.ns": 100.0})
         cand = artifact(gauges={"micro.ns": 100.0, "micro.new": 1e9})
         self.assertEqual(self.run_gate(["--max-ratio", "8"], base, cand), 0)
-
-    # ---- coverage counters ------------------------------------------------
-
-    def test_coverage_shrink_fails(self):
-        base = artifact(gauges={"g": 1.0}, counters={"cov.runs": 10})
-        cand = artifact(gauges={"g": 1.0}, counters={"cov.runs": 9})
-        self.assertEqual(
-            self.run_gate(["--max-ratio", "8", "--coverage-prefix", "cov."],
-                          base, cand), 1)
-
-    def test_coverage_growth_and_new_keys_pass(self):
-        base = artifact(gauges={"g": 1.0}, counters={"cov.runs": 10})
-        cand = artifact(gauges={"g": 1.0},
-                        counters={"cov.runs": 12, "cov.extra": 1})
-        self.assertEqual(
-            self.run_gate(["--max-ratio", "8", "--coverage-prefix", "cov."],
-                          base, cand), 0)
-
-    def test_coverage_missing_counter_fails(self):
-        base = artifact(gauges={"g": 1.0}, counters={"cov.runs": 10})
-        cand = artifact(gauges={"g": 1.0}, counters={})
-        self.assertEqual(
-            self.run_gate(["--max-ratio", "8", "--coverage-prefix", "cov."],
-                          base, cand), 1)
 
     # ---- core-aware scaling rules -----------------------------------------
 
