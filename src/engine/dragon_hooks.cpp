@@ -33,6 +33,29 @@ PrefixId Simulator::effective_parent(const NodeState& node,
   return kNoPrefixId;
 }
 
+void Simulator::index_roots() {
+  for (const PrefixId r : indexed_roots_) {
+    root_refs_[r].records.clear();
+    root_refs_[r].watches.clear();
+  }
+  indexed_roots_.clear();
+  const auto refs_of = [this](const Prefix& root) -> RootRefs& {
+    const PrefixId r = interner_.intern(root);
+    if (r >= root_refs_.size()) root_refs_.resize(r + 1);
+    RootRefs& refs = root_refs_[r];
+    if (refs.records.empty() && refs.watches.empty()) {
+      indexed_roots_.push_back(r);
+    }
+    return refs;
+  };
+  for (std::uint32_t i = 0; i < originations_.size(); ++i) {
+    refs_of(originations_[i].root).records.push_back(i);
+  }
+  for (std::uint32_t i = 0; i < agg_watch_.size(); ++i) {
+    refs_of(agg_watch_[i].first).watches.push_back(i);
+  }
+}
+
 void Simulator::dragon_react(NodeId u, PrefixId p) {
   const NodeState& node = peek(u);
 
@@ -47,21 +70,38 @@ void Simulator::dragon_react(NodeId u, PrefixId p) {
   });
   for (const PrefixId q : below) dragon_update_cr(u, q);
 
-  // Rule RA at this node's originations whose root covers p.
-  const Prefix pfx = interner_.prefix_of(p);
-  for (auto& rec : originations_) {
-    if (rec.origin == u && rec.root.covers(pfx)) dragon_check_ra(rec);
+  // The blocks covering p are p's covering chain (p, parent_of(p), ...):
+  // every record and watch root is interned, so the chain names each one
+  // that covers p, and the root index lists what sits on it.  Both checks
+  // run in ascending vector position, as a scan of the vectors would.
+  struct WatchHit {
+    std::uint32_t pos;
+    PrefixId root;
+  };
+  util::SmallVector<std::uint32_t, 4> records;
+  util::SmallVector<WatchHit, 4> watches;
+  for (PrefixId r = p; r != kNoPrefixId; r = interner_.parent_of(r)) {
+    if (r >= root_refs_.size()) continue;
+    for (const std::uint32_t i : root_refs_[r].records) {
+      if (originations_[i].origin == u) records.push_back(i);
+    }
+    for (const std::uint32_t i : root_refs_[r].watches) {
+      watches.push_back({i, r});
+    }
   }
+
+  // Rule RA at this node's originations whose root covers p.
+  std::sort(records.begin(), records.end());
+  for (const std::uint32_t i : records) dragon_check_ra(originations_[i]);
 
   // Self-organised aggregation originations watching a root that covers p.
   if (config_.enable_reaggregation) {
-    // Copy: reelect_and_react recursion may not mutate the watch list, but
-    // keep iteration independent of callee behaviour.
-    const auto watches = agg_watch_;
-    for (const auto& [root, attr] : watches) {
-      if (root.covers(pfx)) {
-        dragon_check_reaggregation(u, interner_.intern(root), attr);
-      }
+    std::sort(watches.begin(), watches.end(),
+              [](const WatchHit& a, const WatchHit& b) {
+                return a.pos < b.pos;
+              });
+    for (const WatchHit& w : watches) {
+      dragon_check_reaggregation(u, w.root, agg_watch_[w.pos].second);
     }
   }
 }
@@ -241,11 +281,11 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
 
 void Simulator::dragon_check_reaggregation(NodeId u, PrefixId root,
                                            Attr attr) {
-  const Prefix root_pfx = interner_.prefix_of(root);
   // The assigned origin of the root manages it through rule RA instead.
-  for (const auto& rec : originations_) {
-    if (rec.origin == u && rec.root == root_pfx) return;
+  for (const std::uint32_t i : root_refs_[root].records) {
+    if (originations_[i].origin == u) return;
   }
+  const Prefix root_pfx = interner_.prefix_of(root);
   NodeState& node = touch(u);
   RouteEntry& entry = node.route(root);
 
@@ -290,18 +330,21 @@ void Simulator::dragon_check_reaggregation(NodeId u, PrefixId root,
     emit(obs::EventKind::kAggOriginate, u, root_pfx, attr);
     reelect_and_react(u, root);
   } else if (!should && entry.originated && entry.origin_reagg) {
-    const auto missing = core::deaggregate_excluding(root_pfx, pieces);
-    bool learned_eq = false;
-    for (const auto& [nb, cand] : entry.rib_in) {
-      if (project(cand) <= project(attr)) learned_eq = true;
-      (void)nb;
+    if (util::log_level() == util::LogLevel::kDebug) {
+      // Why the origination stops; computed for the log line only.
+      const auto missing = core::deaggregate_excluding(root_pfx, pieces);
+      bool learned_eq = false;
+      for (const auto& [nb, cand] : entry.rib_in) {
+        if (project(cand) <= project(attr)) learned_eq = true;
+        (void)nb;
+      }
+      DRAGON_LOG_DEBUG(
+          "t=%.6f node %u STOP %s (veto=%d pieces=%zu learned_eq=%d "
+          "missing0=%s)",
+          queue_.now(), u, root_pfx.to_bit_string().c_str(), (int)veto,
+          pieces.size(), (int)learned_eq,
+          missing.empty() ? "-" : missing.front().to_bit_string().c_str());
     }
-    DRAGON_LOG_DEBUG(
-        "t=%.6f node %u STOP %s (veto=%d pieces=%zu learned_eq=%d "
-        "missing0=%s)",
-        queue_.now(), u, root_pfx.to_bit_string().c_str(), (int)veto,
-        pieces.size(), (int)learned_eq,
-        missing.empty() ? "-" : missing.front().to_bit_string().c_str());
     entry.originated = false;
     entry.origin_reagg = false;
     entry.origin_attr = kUnreachable;

@@ -136,7 +136,8 @@ void Simulator::sweep_stale(NodeId v, NodeId n, bool expired) {
 
 void Simulator::session_refresh(NodeId x, NodeId y) {
   if (restart_deferred(x)) return;  // finish_restart() sends table + EoR
-  NeighborIo& nio = io(x, y);
+  const std::uint32_t slot = io_slot(x, y);
+  NeighborIo& nio = touch(x).io[slot];
   peek(x).routes.for_each_sorted(
       interner_,
       [&nio](PrefixId p, const RouteEntry&) { nio.pending.insert(p); });
@@ -147,7 +148,7 @@ void Simulator::session_refresh(NodeId x, NodeId y) {
     send_eor(x, y);
   } else {
     nio.eor_pending = true;
-    try_flush(x, y);
+    try_flush(x, slot);
   }
 }
 

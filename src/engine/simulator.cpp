@@ -70,6 +70,7 @@ Simulator::Simulator(const topology::Topology& topo,
       dirty_flag_(topo.node_count(), 0),
       nbr_index_(topo.node_count()),
       labels_(topo.node_count()),
+      peer_slot_(topo.node_count()),
       node_gen_(topo.node_count(), 0),
       sess_epoch_(topo.node_count()),
       node_class_(topo.node_count()) {
@@ -93,6 +94,12 @@ Simulator::Simulator(const topology::Topology& topo,
     }
     std::sort(nbr_index_[u].begin(), nbr_index_[u].end());
     node_class_[u] = topo.is_stub(u) ? 0 : (topo.is_root(u) ? 2 : 1);
+  }
+  for (NodeId u = 0; u < topo.node_count(); ++u) {
+    peer_slot_[u].reserve(topo.neighbors(u).size());
+    for (const auto& nb : topo.neighbors(u)) {
+      peer_slot_[u].push_back(io_slot(nb.id, u));
+    }
   }
 
   for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
@@ -130,10 +137,6 @@ std::uint32_t Simulator::io_slot(NodeId u, NodeId v) const {
 const NeighborIo* Simulator::io_find(NodeId u, NodeId v) const {
   const std::uint32_t s = io_slot(u, v);
   return s == kNoSlot ? nullptr : &nodes_[u].io[s];
-}
-
-algebra::LabelId Simulator::label(NodeId learner, NodeId speaker) const {
-  return labels_[learner][io_slot(learner, speaker)];
 }
 
 std::uint32_t Simulator::project(Attr a) const {
@@ -189,6 +192,7 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
   if (config_.enable_dragon && config_.enable_reaggregation) {
     agg_watch_.emplace_back(p, attr);
   }
+  index_roots();
   if (!offline) reelect_and_react(origin, pid);
   // Rule RA is otherwise event-driven at the ancestor origins, and this
   // origination may never produce an event there: a prefix re-delegated
@@ -246,6 +250,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   std::erase_if(agg_watch_, [&](const std::pair<Prefix, Attr>& w) {
     return w.first == p && w.second == watch_attr;
   });
+  index_roots();
   // With the last watch for p gone, §3.7 self-organised originations of p
   // lose their mandate: the block is no longer anyone's aggregate, so
   // continuing to announce it would squat on returned address space.
@@ -296,6 +301,7 @@ void Simulator::watch_aggregate(const Prefix& root, Attr attr) {
   if (!config_.enable_dragon || !config_.enable_reaggregation) return;
   agg_watch_.emplace_back(root, attr);
   const PrefixId root_id = interner_.intern(root);
+  index_roots();
   for (NodeId u = 0; u < topo_.node_count(); ++u) {
     dragon_check_reaggregation(u, root_id, attr);
   }
@@ -417,12 +423,12 @@ void Simulator::restore_link(NodeId a, NodeId b) {
   }
   // Session re-establishment: full table re-advertisement both ways.
   for (NodeId u : {a, b}) {
-    const NodeId v = (u == a) ? b : a;
-    NeighborIo& nio = io(u, v);
+    const std::uint32_t slot = io_slot(u, (u == a) ? b : a);
+    NeighborIo& nio = touch(u).io[slot];
     peek(u).routes.for_each_sorted(
         interner_,
         [&nio](PrefixId p, const RouteEntry&) { nio.pending.insert(p); });
-    try_flush(u, v);
+    try_flush(u, slot);
   }
 }
 
@@ -701,6 +707,7 @@ void Simulator::restore(const Snapshot& snap) {
   eor_wait_ = snap.eor_wait;
   originations_ = snap.originations;
   agg_watch_ = snap.agg_watch;
+  index_roots();
   leakers_ = snap.leakers;
   rogues_ = snap.rogues;
   metrics_.restore_state(snap.metrics);
@@ -713,7 +720,7 @@ void Simulator::restore(const Snapshot& snap) {
   queue_.reset_time(snap.time);
 }
 
-void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
+void Simulator::deliver(NodeId to, NodeId from, std::uint32_t slot, PrefixId p,
                         std::optional<Attr> wire, std::uint64_t seq) {
   if (config_.session.enabled) {
     // The TCP session under the message died with the channel: anything in
@@ -722,7 +729,7 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
   } else if (!link_alive(to, from)) {
     return;  // failed while in flight
   }
-  NeighborIo& nio = io(to, from);
+  NeighborIo& nio = touch(to).io[slot];
   // Sequence guard: per-(neighbour, prefix) newest-wins.  A reordered
   // older message (chaos extra delay, or in flight across a fast
   // fail/restore cycle) must not clobber a newer update.  Duplicates
@@ -741,7 +748,7 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
   emit(wire ? obs::EventKind::kRecvAnnounce : obs::EventKind::kRecvWithdraw,
        to, from, interner_.prefix_of(p), wire.value_or(0u));
   const Attr imported =
-      wire ? alg_.extend(label(to, from), *wire) : kUnreachable;
+      wire ? alg_.extend(labels_[to][slot], *wire) : kUnreachable;
   if (config_.damping.enabled && damp_absorb(to, from, p, imported)) {
     return;  // suppressed: the release event replays the held state
   }
@@ -897,46 +904,51 @@ void Simulator::sync_entry_obs(NodeId u, PrefixId p, RouteEntry& entry) {
 
 void Simulator::mark_pending(NodeId u, PrefixId p) {
   const auto nbrs = topo_.neighbors(u);
-  for (std::size_t s = 0; s < nbrs.size(); ++s) {
+  for (std::uint32_t s = 0; s < nbrs.size(); ++s) {
     const NodeId v = nbrs[s].id;
     if (config_.session.enabled ? !channel_up(u, v) : !link_alive(u, v)) {
       continue;
     }
     touch(u).io[s].pending.insert(p);
-    try_flush(u, v);
+    try_flush(u, s);
   }
 }
 
-void Simulator::try_flush(NodeId u, NodeId v) {
+void Simulator::try_flush(NodeId u, std::uint32_t slot) {
   // Gated on session.enabled so the disabled path keeps the seed engine's
   // exact behaviour (including draining pending on a failed link below).
   if (config_.session.enabled &&
-      (!channel_up(u, v) || restart_deferred(u))) {
+      (!channel_up(u, neighbor_at(u, slot)) || restart_deferred(u))) {
     return;  // teardown cleanup / finish_restart re-queues as appropriate
   }
-  NeighborIo& nio = io(u, v);
+  NeighborIo& nio = touch(u).io[slot];
   if (nio.pending.empty()) return;
   if (queue_.now() >= nio.mrai_ready) {
-    flush_now(u, v);
+    flush_now(u, slot);
     return;
   }
   if (!nio.flush_scheduled) {
     nio.flush_scheduled = true;
-    queue_.schedule(nio.mrai_ready, [this, u, v] {
-      NeighborIo& later = io(u, v);
+    queue_.schedule(nio.mrai_ready, [this, u, slot] {
+      NeighborIo& later = touch(u).io[slot];
       later.flush_scheduled = false;
-      if (!later.pending.empty()) flush_now(u, v);
+      if (!later.pending.empty()) flush_now(u, slot);
     });
   }
 }
 
-void Simulator::flush_now(NodeId u, NodeId v) {
+void Simulator::flush_now(NodeId u, std::uint32_t slot) {
+  const NodeId v = neighbor_at(u, slot);
   if (config_.session.enabled &&
       (!channel_up(u, v) || restart_deferred(u))) {
     return;  // the channel moved under a scheduled MRAI flush
   }
   const NodeState& node = peek(u);
-  NeighborIo& nio = io(u, v);
+  NeighborIo& nio = touch(u).io[slot];
+  // The receiver's side of the link: u's slot at v, and v's import label
+  // for u, which decides the export policy for the whole batch.
+  const std::uint32_t peer_slot = peer_slot_[u][slot];
+  const algebra::LabelId export_label = labels_[v][peer_slot];
   bool sent_any = false;
   // Batch in global prefix order — the seed's std::set<Prefix> iteration
   // order, and the order the wire sequence (and thus every digest)
@@ -949,7 +961,7 @@ void Simulator::flush_now(NodeId u, NodeId v) {
                      !entry->filtered;
     Attr wire_attr = exporting ? entry->elected : kUnreachable;
     if (exporting &&
-        alg_.extend(label(v, u), entry->elected) == kUnreachable) {
+        alg_.extend(export_label, entry->elected) == kUnreachable) {
       // Export policy drops it; nothing on the wire — unless u is leaking
       // (chaos scenario engine), in which case the route goes out anyway
       // with the masqueraded attribute the receiver's import accepts.
@@ -969,15 +981,15 @@ void Simulator::flush_now(NodeId u, NodeId v) {
     // re-flush genuinely resends the update — including withdrawals,
     // which a post-mutation drop would lose forever.
     if (config_.faults.loss > 0.0 && msg_rng_.chance(config_.faults.loss)) {
-      drop_and_retry(u, v, p);
+      drop_and_retry(u, slot, p);
       continue;
     }
     if (exporting) {
       nio.sent.put(p, wire_attr);
-      send(u, v, p, wire_attr);
+      send(u, v, peer_slot, p, wire_attr);
     } else {
       nio.sent.erase(p);
-      send(u, v, p, std::nullopt);
+      send(u, v, peer_slot, p, std::nullopt);
     }
     sent_any = true;
   }
@@ -996,7 +1008,7 @@ void Simulator::flush_now(NodeId u, NodeId v) {
   }
 }
 
-void Simulator::send(NodeId from, NodeId to, PrefixId p,
+void Simulator::send(NodeId from, NodeId to, std::uint32_t slot, PrefixId p,
                      std::optional<Attr> wire) {
   c_class_updates_[node_class_[from]]->inc();
   h_update_depth_->observe(
@@ -1004,18 +1016,18 @@ void Simulator::send(NodeId from, NodeId to, PrefixId p,
   emit(wire ? obs::EventKind::kAnnounce : obs::EventKind::kWithdraw, from, to,
        interner_.prefix_of(p), wire.value_or(0u));
   const std::uint64_t seq = ++msg_seq_;
-  schedule_delivery(from, to, p, wire, seq);
+  schedule_delivery(from, to, slot, p, wire, seq);
   if (config_.faults.duplicate > 0.0 &&
       msg_rng_.chance(config_.faults.duplicate)) {
     // Second wire copy with the same sequence: delivered (idempotently)
     // unless a newer update overtakes it first.
     emit(obs::EventKind::kMsgDup, from, to, interner_.prefix_of(p), 0u);
-    schedule_delivery(from, to, p, wire, seq);
+    schedule_delivery(from, to, slot, p, wire, seq);
   }
 }
 
-void Simulator::schedule_delivery(NodeId from, NodeId to, PrefixId p,
-                                  std::optional<Attr> wire,
+void Simulator::schedule_delivery(NodeId from, NodeId to, std::uint32_t slot,
+                                  PrefixId p, std::optional<Attr> wire,
                                   std::uint64_t seq) {
   const double jitter =
       1.0 + config_.link_delay_jitter * (2.0 * rng_.uniform() - 1.0);
@@ -1024,23 +1036,26 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, PrefixId p,
       msg_rng_.chance(config_.faults.delay_prob)) {
     delay += config_.faults.extra_delay * msg_rng_.uniform();
   }
-  queue_.schedule(queue_.now() + delay, [this, from, to, p, wire, seq] {
-    deliver(to, from, p, wire, seq);
+  queue_.schedule(queue_.now() + delay, [this, from, to, slot, p, wire, seq] {
+    deliver(to, from, slot, p, wire, seq);
   });
 }
 
-void Simulator::drop_and_retry(NodeId u, NodeId v, PrefixId p) {
+void Simulator::drop_and_retry(NodeId u, std::uint32_t slot, PrefixId p) {
+  const NodeId v = neighbor_at(u, slot);
   emit(obs::EventKind::kMsgLost, u, v, interner_.prefix_of(p), 0u);
   // An observed loss is the session layer's signal that keepalives share
   // the channel's fate: maybe this hold window eats them all.
   session_on_loss(u, v);
-  queue_.schedule(queue_.now() + config_.faults.retransmit, [this, u, v, p] {
-    if (config_.session.enabled ? !channel_up(u, v) : !link_alive(u, v)) {
-      return;  // session reset resynced the peer
-    }
-    io(u, v).pending.insert(p);
-    try_flush(u, v);
-  });
+  queue_.schedule(queue_.now() + config_.faults.retransmit,
+                  [this, u, v, slot, p] {
+                    if (config_.session.enabled ? !channel_up(u, v)
+                                                : !link_alive(u, v)) {
+                      return;  // session reset resynced the peer
+                    }
+                    touch(u).io[slot].pending.insert(p);
+                    try_flush(u, slot);
+                  });
 }
 
 }  // namespace dragon::engine

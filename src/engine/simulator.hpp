@@ -47,6 +47,7 @@
 #include "prefix/prefix.hpp"
 #include "topology/graph.hpp"
 #include "util/rng.hpp"
+#include "util/small_vector.hpp"
 
 namespace dragon::engine {
 
@@ -371,7 +372,6 @@ class Simulator {
   [[nodiscard]] bool link_alive(NodeId a, NodeId b) const {
     return !failed_.contains(link_key(a, b));
   }
-  [[nodiscard]] algebra::LabelId label(NodeId learner, NodeId speaker) const;
   [[nodiscard]] std::uint32_t project(Attr a) const;
 
   // --- Node state access ----------------------------------------------------
@@ -392,8 +392,13 @@ class Simulator {
   // --- Neighbour IO addressing ---------------------------------------------
   // NodeState::io is a dense vector with one slot per topology neighbour
   // (adjacency order); the sorted (neighbour id -> slot) index lives here,
-  // shared by every trial and never copied into snapshots.
+  // shared by every trial and never copied into snapshots.  The update
+  // fan-out carries slots instead (mark_pending -> flush -> send ->
+  // deliver); io_slot() serves the session, fault and introspection paths.
   [[nodiscard]] std::uint32_t io_slot(NodeId u, NodeId v) const;
+  [[nodiscard]] NodeId neighbor_at(NodeId u, std::uint32_t slot) const {
+    return topo_.neighbors(u)[slot].id;
+  }
   [[nodiscard]] NeighborIo& io(NodeId u, NodeId v) {
     return touch(u).io[io_slot(u, v)];
   }
@@ -404,15 +409,17 @@ class Simulator {
   /// introspection entry points may be probed with arbitrary pairs).
   [[nodiscard]] const NeighborIo* io_find(NodeId u, NodeId v) const;
 
-  void deliver(NodeId to, NodeId from, prefix::PrefixId p,
+  /// `slot` is from's io slot at `to` (peer_slot_ of the sending side).
+  void deliver(NodeId to, NodeId from, std::uint32_t slot, prefix::PrefixId p,
                std::optional<Attr> wire, std::uint64_t seq);
   /// Queues one wire copy of the message (link-delay jitter plus any
   /// chaos-injected extra delay).
-  void schedule_delivery(NodeId from, NodeId to, prefix::PrefixId p,
-                         std::optional<Attr> wire, std::uint64_t seq);
+  void schedule_delivery(NodeId from, NodeId to, std::uint32_t slot,
+                         prefix::PrefixId p, std::optional<Attr> wire,
+                         std::uint64_t seq);
   /// Chaos loss path: drop the update before it reaches the wire and
   /// schedule a retransmission (the prefix is re-flushed later).
-  void drop_and_retry(NodeId u, NodeId v, prefix::PrefixId p);
+  void drop_and_retry(NodeId u, std::uint32_t slot, prefix::PrefixId p);
   /// Re-elects p at u, runs DRAGON hooks, and schedules updates for every
   /// prefix whose externally visible state may have changed.
   void reelect_and_react(NodeId u, prefix::PrefixId p);
@@ -434,9 +441,11 @@ class Simulator {
   }
   [[nodiscard]] obs::Timeline::Sample timeline_sample(Time t) const;
   void mark_pending(NodeId u, prefix::PrefixId p);
-  void try_flush(NodeId u, NodeId v);
-  void flush_now(NodeId u, NodeId v);
-  void send(NodeId from, NodeId to, prefix::PrefixId p,
+  /// Flushes u's pending batch towards the neighbour in `slot`.
+  void try_flush(NodeId u, std::uint32_t slot);
+  void flush_now(NodeId u, std::uint32_t slot);
+  /// `slot` is from's io slot at `to`.
+  void send(NodeId from, NodeId to, std::uint32_t slot, prefix::PrefixId p,
             std::optional<Attr> wire);
 
   // Route-flap damping (Config::damping; engine/simulator.cpp).
@@ -514,6 +523,9 @@ class Simulator {
   void clear_node_state(NodeId n);
 
   // DRAGON hooks (engine/dragon_hooks.cpp).
+  /// Rebuilds the root index from originations_ and agg_watch_; called
+  /// wherever either vector changes, before anything reacts.
+  void index_roots();
   void dragon_react(NodeId u, prefix::PrefixId p);
   void dragon_update_cr(NodeId u, prefix::PrefixId q);
   void dragon_check_ra(OriginationRecord& rec);
@@ -554,6 +566,10 @@ class Simulator {
   /// Import labels, indexed [node][io slot] (flat mirror of the seed's
   /// per-node hash maps).
   std::vector<std::vector<algebra::LabelId>> labels_;
+  /// Reverse slots, indexed [node][io slot]: u's own slot at the
+  /// neighbour in that slot, which addresses the receiver's io and
+  /// import label for everything u sends there.
+  std::vector<std::vector<std::uint32_t>> peer_slot_;
   std::unordered_set<std::uint64_t> failed_;
   /// Crashed nodes (ordered: down_nodes() feeds the oracle and must be
   /// deterministic).  Always empty while the session layer is disabled.
@@ -568,6 +584,18 @@ class Simulator {
   std::vector<OriginationRecord> originations_;
   /// Roots watched for §3.7/§3.8 self-organised origination.
   std::vector<std::pair<Prefix, Attr>> agg_watch_;
+  /// Root index, indexed by the root's PrefixId: the positions of the
+  /// origination records and aggregate watches on that root, ascending.
+  /// Derived from the two vectors above by index_roots(), never
+  /// snapshotted; an election walks its covering chain through it instead
+  /// of scanning the vectors.  `indexed_roots_` lists the non-empty
+  /// entries, so a rebuild costs O(records + watches).
+  struct RootRefs {
+    util::SmallVector<std::uint32_t, 2> records;
+    util::SmallVector<std::uint32_t, 2> watches;
+  };
+  std::vector<RootRefs> root_refs_;
+  std::vector<prefix::PrefixId> indexed_roots_;
   /// Nodes currently leaking.
   std::set<NodeId> leakers_;
   /// Active rogue (hijack) originations.

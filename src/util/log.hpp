@@ -23,11 +23,19 @@ void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2,
 
 }  // namespace dragon::util
 
+// Each macro tests the level before it evaluates its arguments, so a
+// filtered line costs one level load and builds nothing.
+#define DRAGON_LOG_AT(level, ...)                                  \
+  do {                                                             \
+    if ((level) >= ::dragon::util::log_level()) {                  \
+      ::dragon::util::logf((level), __VA_ARGS__);                  \
+    }                                                              \
+  } while (false)
 #define DRAGON_LOG_DEBUG(...) \
-  ::dragon::util::logf(::dragon::util::LogLevel::kDebug, __VA_ARGS__)
+  DRAGON_LOG_AT(::dragon::util::LogLevel::kDebug, __VA_ARGS__)
 #define DRAGON_LOG_INFO(...) \
-  ::dragon::util::logf(::dragon::util::LogLevel::kInfo, __VA_ARGS__)
+  DRAGON_LOG_AT(::dragon::util::LogLevel::kInfo, __VA_ARGS__)
 #define DRAGON_LOG_WARN(...) \
-  ::dragon::util::logf(::dragon::util::LogLevel::kWarn, __VA_ARGS__)
+  DRAGON_LOG_AT(::dragon::util::LogLevel::kWarn, __VA_ARGS__)
 #define DRAGON_LOG_ERROR(...) \
-  ::dragon::util::logf(::dragon::util::LogLevel::kError, __VA_ARGS__)
+  DRAGON_LOG_AT(::dragon::util::LogLevel::kError, __VA_ARGS__)

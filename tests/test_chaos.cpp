@@ -730,6 +730,51 @@ TEST(ChaosSmoke, MessageFaultsStillConvergeToFaultFreeState) {
   EXPECT_TRUE(oracle.match) << oracle.to_string();
 }
 
+TEST(ChaosSmoke, ReorderedUpdatesHitTheSequenceGuard) {
+  // MRAI spaces one peer's updates for a prefix at least 0.375 s apart
+  // here, so only an extra delay longer than that reorders them.  Path
+  // exploration under GrPathVectorAlgebra sends several updates per
+  // prefix and peer; with no origin flaps, the sequence guard in
+  // deliver() alone keeps each (neighbour, prefix) stream in order.
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 3;
+  tparams.transit_count = 20;
+  tparams.stub_count = 127;
+  tparams.seed = 21;
+  const auto gen = topology::generate_internet(tparams);
+  addressing::AssignmentParams aparams;
+  aparams.seed = 22;
+  const auto asg = addressing::clean_assignment(
+      gen.graph, addressing::generate_assignment(gen, aparams));
+  ASSERT_GE(asg.size(), 30u);
+
+  algebra::GrPathVectorAlgebra alg;
+  Config config = bgp_config();
+  config.enable_dragon = true;
+  config.enable_reaggregation = false;  // the §5.3 setting at this scale
+  config.unique_link_labels = true;
+  config.l_attr = [](algebra::Attr a) {
+    return static_cast<std::uint32_t>(
+        algebra::GrPathVectorAlgebra::class_of(a));
+  };
+  config.faults.delay_prob = 0.3;
+  config.faults.extra_delay = 2.0;
+  ASSERT_GT(config.faults.extra_delay, config.mrai);
+  Simulator sim(gen.graph, alg, config);
+  for (std::size_t i = 0; i < 30; ++i) {
+    sim.originate(asg.prefixes[i], asg.origin[i],
+                  algebra::GrPathVectorAlgebra::make(GrClass::kCustomer, 0));
+  }
+  const auto run = run_to_quiescence(sim, {1e6, 2'000'000});
+  ASSERT_TRUE(run.quiescent) << run.diagnostics;
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kMsgStale), 0u);
+
+  const auto report = check_invariants(sim);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  const auto oracle = differential_check(sim);
+  EXPECT_TRUE(oracle.match) << oracle.to_string();
+}
+
 TEST(ChaosSmoke, WatchdogGuardsTheSweep) {
   // The watchdog path stays exercised inside the smoke filter too.
   const auto topo = F2::topology();

@@ -165,7 +165,7 @@ TEST(DataplaneSmoke, CompileRejectsBadConfig) {
   EXPECT_THROW((void)LpmTable::compile({}, {32}), std::invalid_argument);
 }
 
-TEST(DataplaneSmoke, BucketDepthHistogramCountsChains) {
+TEST(DataplaneSmoke, ChainedBucketCountAndTableBytes) {
   // /24 and /32 under top_bits = 16: a depth-1 bucket and a depth-2
   // bucket chained below it.
   const Fib fib{{Prefix(0x0A000000u, 24), 1}, {Prefix(0x0A000010u, 32), 2}};

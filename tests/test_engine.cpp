@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "addressing/assignment.hpp"
 #include "algebra/gr_path_algebra.hpp"
 #include "engine/event_queue.hpp"
 #include "engine/simulator.hpp"
 #include "paper_networks.hpp"
+#include "prefix/prefix_forest.hpp"
 #include "routecomp/gr_sweep.hpp"
 #include "test_support.hpp"
 #include "topology/generator.hpp"
@@ -455,6 +459,133 @@ TEST(DragonEngine, FewerUpdatesThanBgpAcrossFailures) {
   const auto dragon_total = run(true);
   EXPECT_LT(dragon_total, bgp_total);
   EXPECT_GT(bgp_total, 0u);
+}
+
+/// FNV-1a over trace records in order and over per-node FIB sizes.  The
+/// tracer is folded in and cleared after every bounded slice of events,
+/// so its ring never wraps.
+struct RunHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h = (h ^ (v & 0xFFu)) * 0x100000001b3ull;
+    }
+  }
+  void fold(obs::EventTracer& tracer) {
+    ASSERT_EQ(tracer.dropped(), 0u);
+    tracer.for_each([this](const obs::TraceRecord& r) {
+      mix(std::bit_cast<std::uint64_t>(r.sim_time));
+      mix(static_cast<std::uint64_t>(r.kind));
+      mix(r.node);
+      mix(static_cast<std::uint64_t>(r.peer));
+      mix(r.has_prefix ? (std::uint64_t{r.prefix.bits()} << 8) |
+                             static_cast<std::uint64_t>(r.prefix.length())
+                       : ~std::uint64_t{0});
+      mix(r.has_attr ? r.attr : ~std::uint64_t{0});
+    });
+    tracer.clear();
+  }
+  void converge(Simulator& sim, obs::EventTracer& tracer) {
+    std::size_t events = 0;
+    for (;;) {
+      const auto run = sim.run_bounded(1e7, 256);
+      fold(tracer);
+      events += run.events;
+      if (run.quiescent) break;
+      ASSERT_LT(events, 2'000'000u) << "no quiescence";
+    }
+    for (NodeId u = 0; u < sim.topology_used().node_count(); ++u) {
+      mix(sim.fib_size(u));
+    }
+  }
+};
+
+TEST(DragonEngine, ReactionOrderPinnedWithReaggregation) {
+  // Every election runs rule RA at the node's originations of a block
+  // covering the prefix and §3.7 at every watched root covering it, in
+  // the order of the origination records and the watches.  This pins the
+  // resulting event sequence where that order has choices: whole
+  // prefix-trees of a generated assignment originated with §3.7 on, so
+  // origins hold several roots, children are both same-origin and
+  // delegated, and watched roots nest.  Then an origination moves to the
+  // end of the records (withdrawn and re-originated), an unassigned
+  // covering block gains a watch, and a failure trial runs from a
+  // snapshot taken before both edits.
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 4;
+  tparams.transit_count = 40;
+  tparams.stub_count = 200;
+  tparams.seed = 5;
+  const auto gen = topology::generate_internet(tparams);
+  const auto& topo = gen.graph;
+  addressing::AssignmentParams aparams;
+  aparams.seed = 6;
+  const auto asg = addressing::clean_assignment(
+      topo, addressing::generate_assignment(gen, aparams));
+
+  const prefix::PrefixForest forest(asg.prefixes);
+  std::vector<std::size_t> chosen;
+  for (const std::int32_t r : forest.non_trivial_roots()) {
+    const auto members = forest.tree_members(r);
+    if (members.size() < 3 || members.size() > 12) continue;
+    chosen.insert(chosen.end(), members.begin(), members.end());
+    if (chosen.size() >= 60) break;
+  }
+  ASSERT_GE(chosen.size(), 60u);
+  // The first tree's root moves from the front of the records to the end.
+  const std::size_t moved = chosen.front();
+  ASSERT_FALSE(forest.children(moved).empty());
+  // The unassigned block one bit above it gains a watch.
+  const Prefix cover = asg.prefixes[moved].trie_parent();
+  ASSERT_EQ(std::count(asg.prefixes.begin(), asg.prefixes.end(), cover), 0);
+  // The trial fails the link from a delegated prefix's origin to the
+  // origin of its parent and grandparent: rule RA then acts at two nested
+  // records of one node, which also holds several roots.  Both ids stay
+  // 0 when no chosen prefix qualifies.
+  NodeId holder = 0;
+  NodeId delegate = 0;
+  for (const std::size_t i : chosen) {
+    const std::int32_t parent = forest.parent(i);
+    if (parent == prefix::PrefixForest::kNone ||
+        forest.parent(parent) == prefix::PrefixForest::kNone) {
+      continue;
+    }
+    const NodeId x = asg.origin[static_cast<std::size_t>(parent)];
+    if (asg.origin[static_cast<std::size_t>(forest.parent(parent))] == x &&
+        asg.origin[i] != x && topo.linked(x, asg.origin[i])) {
+      holder = x;
+      delegate = asg.origin[i];
+      break;
+    }
+  }
+  ASSERT_NE(holder, delegate);
+
+  GrPathAlgebra alg;
+  Config config = dragon_config();
+  ASSERT_TRUE(config.enable_reaggregation);
+  Simulator sim(topo, alg, config);
+  obs::EventTracer tracer(1 << 16);
+  sim.set_tracer(&tracer);
+  RunHash hash;
+  for (const std::size_t i : chosen) {
+    sim.originate(asg.prefixes[i], asg.origin[i], kOriginAttr);
+  }
+  hash.converge(sim, tracer);
+  const auto snap = sim.snapshot();
+
+  sim.withdraw_origin(asg.prefixes[moved], asg.origin[moved]);
+  hash.converge(sim, tracer);
+  sim.originate(asg.prefixes[moved], asg.origin[moved], kOriginAttr);
+  hash.converge(sim, tracer);
+  sim.watch_aggregate(cover, kOriginAttr);
+  hash.converge(sim, tracer);
+
+  sim.restore(snap);
+  sim.reset_stats();
+  sim.fail_link(holder, delegate);
+  hash.converge(sim, tracer);
+  EXPECT_GT(obs::count(sim.metrics(), EventKind::kRaViolation), 0u);
+  EXPECT_EQ(hash.h, 0x23650dea42308a0full);
 }
 
 // ---------------------------------------------------------------------------

@@ -311,13 +311,18 @@ TEST(Log, LinePrefixHasLevelAndMonotonicTimestamp) {
 TEST(Log, LevelFilterDropsBelowThreshold) {
   const auto saved = util::log_level();
   util::set_log_level(util::LogLevel::kWarn);
+  // A dropped line must not even build its arguments.
+  int evaluated = 0;
+  const auto counted = [&evaluated] { return ++evaluated; };
   ::testing::internal::CaptureStderr();
-  DRAGON_LOG_INFO("should not appear");
-  DRAGON_LOG_WARN("should appear");
+  DRAGON_LOG_DEBUG("should not appear %d", counted());
+  DRAGON_LOG_INFO("should not appear %d", counted());
+  DRAGON_LOG_WARN("should appear %d", counted());
   const std::string out = ::testing::internal::GetCapturedStderr();
   util::set_log_level(saved);
   EXPECT_EQ(out.find("should not appear"), std::string::npos);
-  EXPECT_NE(out.find("should appear"), std::string::npos);
+  EXPECT_NE(out.find("should appear 1"), std::string::npos);
+  EXPECT_EQ(evaluated, 1);
 }
 
 TEST(Log, LongMessagesSurviveTheStackBuffer) {
