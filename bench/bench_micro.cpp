@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: prefix trie operations, the intern table, the flat
 // RIB (insert/lookup/elect), forest construction, the per-origin GR
-// sweep, the generic solver, ORTC compression, and the event engine's
-// end-to-end convergence.
+// sweep, the generic solver, both FIB compressors (ORTC and remove-only),
+// and the event engine's end-to-end convergence.
 //
 // Besides the console table, `--metrics-json=PATH` writes every per-run
 // ns/iter figure into a registry-shaped JSON artifact (BENCH_micro.json
@@ -239,23 +239,39 @@ void BM_GenericSolver(benchmark::State& state) {
 }
 BENCHMARK(BM_GenericSolver);
 
-void BM_OrtcCompress(benchmark::State& state) {
+/// The FIB both compressor benches compress: `entries` distinct random
+/// prefixes of length 8-24 over 8 next hops.
+fibcomp::Fib compressor_input(std::size_t entries) {
   util::Rng rng(7);
   fibcomp::Fib fib;
   prefix::PrefixSet seen;
-  while (fib.size() < static_cast<std::size_t>(state.range(0))) {
+  while (fib.size() < entries) {
     const prefix::Prefix p(static_cast<prefix::Address>(rng()),
                            8 + static_cast<int>(rng.below(17)));
     if (seen.contains(p)) continue;
     seen.insert(p);
     fib.push_back({p, static_cast<fibcomp::NextHop>(rng.below(8))});
   }
+  return fib;
+}
+
+void BM_OrtcCompress(benchmark::State& state) {
+  const auto fib = compressor_input(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(fibcomp::compress_ortc(fib));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_OrtcCompress)->Arg(10000)->Arg(50000);
+
+void BM_ConservativeCompress(benchmark::State& state) {
+  const auto fib = compressor_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fibcomp::compress_conservative(fib));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ConservativeCompress)->Arg(10000)->Arg(50000);
 
 // Compiled-LPM serving: one lookup against a DIR-24-8-style LpmTable
 // (top_bits=16, the LpmConfig default).  Arg pair is

@@ -15,6 +15,8 @@
 //     bottom-up (intersection if non-empty, else union), select top-down.
 //
 // Both preserve forwarding exactly, including drops (no default route).
+// Both may run on several threads at once: each thread reuses its own
+// working memory (the trie and ORTC's candidate sets) across calls.
 #pragma once
 
 #include "fibcomp/fib.hpp"

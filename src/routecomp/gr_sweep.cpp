@@ -67,9 +67,12 @@ GrStableState gr_sweep_multi(const Topology& topo,
   // Phase 3: provider routes.  Multi-source shortest-hop propagation down
   // provider->customer links from every announcing node routed so far.
   // Sources start at different distances, so expand in distance order with
-  // a bucket queue (all link "weights" are 1).
+  // a bucket queue (all link "weights" are 1).  Only nodes with customers
+  // are queued: a stub's class and length are final once set, and it has
+  // nothing to propagate.
   std::vector<std::vector<NodeId>> buckets;
-  auto bucket_push = [&buckets](NodeId u, std::uint16_t d) {
+  auto bucket_push = [&buckets, &topo](NodeId u, std::uint16_t d) {
+    if (topo.is_stub(u)) return;
     if (buckets.size() <= d) buckets.resize(static_cast<std::size_t>(d) + 1);
     buckets[d].push_back(u);
   };

@@ -15,7 +15,8 @@
 // and per link a phase follows: the upset's provider and peer links and
 // every routed AS's customer links.  The provider and peer links of ASs
 // outside the upset, most of them stubs' (§5.1: 84% of ASs are stubs),
-// are never read.
+// are never read.  Phase 3 queues only routed ASs with customers: a
+// stub's class and length are final when set, so it is never pushed.
 //
 // The sweep also yields AS-path lengths (BGP's tie-breaker) and forwarding
 // neighbours, both needed by the FIB-compression baseline and the slack-X

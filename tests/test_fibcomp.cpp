@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <set>
 
+#include "addressing/assignment.hpp"
+#include "dragon/aggregation.hpp"
 #include "fibcomp/fib.hpp"
 #include "fibcomp/ortc.hpp"
+#include "routecomp/gr_sweep.hpp"
+#include "topology/generator.hpp"
 #include "util/rng.hpp"
 
 namespace dragon::fibcomp {
@@ -92,12 +99,15 @@ TEST(Ortc, MergesSiblingsWithNewAggregate) {
 }
 
 TEST(Ortc, ClassicDravesExample) {
-  // Root default to hop 1, 00->2, 10->2: optimal is {*->2, 01->1, 11->1}
-  // or an equivalent 3-entry table.
+  // Root default to hop 1, 00->2, 10->2.  Every node's candidate set is
+  // {1, 2} down to the leaves, so the smallest hop wins at the root and
+  // the two leaves for hop 2 stay (the equally small {*->2, 01->1,
+  // 11->1} would need the largest hop chosen).
   const Fib input{{Prefix{}, 1}, {bp("00"), 2}, {bp("10"), 2}};
   const auto out = compress_ortc(input);
   EXPECT_TRUE(forwarding_equivalent(input, out));
-  EXPECT_LE(out.size(), 3u);
+  const Fib want{{Prefix{}, 1}, {bp("00"), 2}, {bp("10"), 2}};
+  EXPECT_EQ(out, want);
 }
 
 TEST(Ortc, PreservesDropRegions) {
@@ -134,22 +144,163 @@ TEST(Ortc, NeverWorseThanConservative) {
   }
 }
 
+/// FNV-1a over every entry's (bits, length, hop), in order.
+std::uint64_t hash_entries(const Fib& fib, std::uint64_t h) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const FibEntry& e : fib) {
+    mix(e.prefix.bits());
+    mix(static_cast<std::uint64_t>(e.prefix.length()));
+    mix(e.next_hop);
+  }
+  return h;
+}
+
+// Both compressors' outputs, entry for entry, on FIBs built the way
+// bench_fig8_filtering builds them: each origin's prefixes (origins in
+// ascending order) carry the sampled AS's best forwarding neighbour,
+// kLocal at the origin and kDrop without a neighbour; ORTC's FIBs also
+// carry the elected aggregation prefixes.  Injected anomalies put some
+// prefixes in a FIB twice with different hops, so the later-wins rule,
+// the emit order and ORTC's smallest-hop choice all reach the hashes.
+TEST(FibCompression, OutputsPinnedOnSweptFibs) {
+  using topology::NodeId;
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 6;
+  tparams.transit_count = 300;
+  tparams.stub_count = 1200;
+  tparams.seed = 71;
+  const auto gen = topology::generate_internet(tparams);
+  const auto& topo = gen.graph;
+  addressing::AssignmentParams aparams;
+  aparams.seed = 72;
+  aparams.anomaly_rate = 0.02;
+  const auto asg = addressing::generate_assignment(gen, aparams);
+  const auto aggs = core::elect_aggregation_prefixes(topo, asg);
+
+  // Four transit and four stub ASs, in shuffled order.
+  std::vector<NodeId> order(topo.node_count());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  util::Rng rng(73);
+  rng.shuffle(order);
+  std::vector<NodeId> sample;
+  for (const bool stub : {false, true}) {
+    std::size_t taken = 0;
+    for (const NodeId u : order) {
+      if (taken < 4 && topo.is_stub(u) == stub) {
+        sample.push_back(u);
+        ++taken;
+      }
+    }
+  }
+
+  const auto hop = [&](const routecomp::GrStableState& sweep, NodeId u) {
+    if (sweep.is_origin(u)) return kLocal;
+    const NodeId fwd = routecomp::best_forwarding_neighbor(topo, sweep, u);
+    return fwd == routecomp::kNoNeighbor ? kDrop : next_hop_from_node(fwd);
+  };
+  std::map<NodeId, std::vector<std::size_t>> by_origin;
+  for (std::size_t i = 0; i < asg.size(); ++i) {
+    by_origin[asg.origin[i]].push_back(i);
+  }
+  std::vector<Fib> fibs_def(sample.size());
+  for (const auto& [origin, indices] : by_origin) {
+    const auto sweep = routecomp::gr_sweep(topo, origin);
+    for (std::size_t s = 0; s < sample.size(); ++s) {
+      const NextHop nh = hop(sweep, sample[s]);
+      for (const std::size_t i : indices) {
+        fibs_def[s].push_back({asg.prefixes[i], nh});
+      }
+    }
+  }
+  std::vector<Fib> fibs_agg = fibs_def;
+  for (const auto& agg : aggs) {
+    const auto sweep = routecomp::gr_sweep_multi(topo, agg.originators);
+    for (std::size_t s = 0; s < sample.size(); ++s) {
+      fibs_agg[s].push_back({agg.aggregate, hop(sweep, sample[s])});
+    }
+  }
+  const std::set<Prefix> distinct(asg.prefixes.begin(), asg.prefixes.end());
+  ASSERT_LT(distinct.size(), asg.size());  // duplicates reach the FIBs
+
+  std::uint64_t cons_hash = 0xcbf29ce484222325ull;
+  std::uint64_t ortc_hash = 0xcbf29ce484222325ull;
+  std::size_t cons_entries = 0;
+  std::size_t ortc_entries = 0;
+  for (std::size_t s = 0; s < sample.size(); ++s) {
+    const Fib cons = compress_conservative(fibs_def[s]);
+    const Fib ortc = compress_ortc(fibs_agg[s]);
+    cons_hash = hash_entries(cons, cons_hash);
+    ortc_hash = hash_entries(ortc, ortc_hash);
+    cons_entries += cons.size();
+    ortc_entries += ortc.size();
+  }
+  EXPECT_EQ(asg.size(), 21224u);
+  EXPECT_EQ(aggs.size(), 2187u);
+  EXPECT_EQ(cons_entries, 80503u);
+  EXPECT_EQ(ortc_entries, 22744u);
+  EXPECT_EQ(cons_hash, 0x90461b3ecbfc7025ull);
+  EXPECT_EQ(ortc_hash, 0x9082628c34d1772full);
+}
+
+NextHop random_hop(util::Rng& rng) {
+  switch (rng.below(8)) {
+    case 0:
+      return kLocal;
+    case 1:
+      return kDrop;
+    default:
+      return static_cast<NextHop>(rng.below(4));
+  }
+}
+
+/// A random FIB: mostly 20-100 entries, one draw in five 1k-3k.  Prefixes
+/// are fresh (length 0-32), more-specifics of earlier ones down to /32,
+/// siblings of earlier ones, or repeats of earlier ones with a new hop.
+Fib random_fib(util::Rng& rng) {
+  const std::size_t entries = rng.below(5) == 0 ? 1000 + rng.below(2001)
+                                                : 20 + rng.below(81);
+  Fib fib;
+  while (fib.size() < entries) {
+    const auto addr = static_cast<prefix::Address>(rng());
+    Prefix p(addr, static_cast<int>(rng.below(33)));
+    if (!fib.empty()) {
+      const Prefix& earlier = fib[rng.below(fib.size())].prefix;
+      switch (rng.below(4)) {
+        case 0: {
+          const auto below_earlier = static_cast<prefix::Address>(
+              std::uint64_t{0xFFFFFFFFu} >> earlier.length());
+          p = Prefix(earlier.bits() | (addr & below_earlier),
+                     earlier.length() +
+                         static_cast<int>(rng.below(33 - earlier.length())));
+          break;
+        }
+        case 1:
+          if (earlier.length() > 0) p = earlier.sibling();
+          break;
+        case 2:
+          p = earlier;
+          break;
+        default:
+          break;
+      }
+    }
+    fib.push_back({p, random_hop(rng)});
+  }
+  return fib;
+}
+
 class FibCompressionProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(FibCompressionProperty, BothPreserveForwardingExactly) {
   util::Rng rng(GetParam());
   for (int trial = 0; trial < 20; ++trial) {
-    Fib fib;
-    const int entries = 20 + static_cast<int>(rng.below(80));
-    for (int i = 0; i < entries; ++i) {
-      const Prefix p(static_cast<prefix::Address>(rng()),
-                     static_cast<int>(rng.below(14)));
-      const bool seen =
-          std::any_of(fib.begin(), fib.end(),
-                      [&](const FibEntry& d) { return d.prefix == p; });
-      if (!seen) fib.push_back({p, static_cast<NextHop>(rng.below(5))});
-    }
+    const Fib fib = random_fib(rng);
     const auto cons = compress_conservative(fib);
     EXPECT_TRUE(forwarding_equivalent(fib, cons));
     const auto ortc = compress_ortc(fib);
@@ -157,6 +308,17 @@ TEST_P(FibCompressionProperty, BothPreserveForwardingExactly) {
     // Compression is idempotent.
     EXPECT_EQ(compress_conservative(cons).size(), cons.size());
     EXPECT_EQ(compress_ortc(ortc).size(), ortc.size());
+    // Conservative output is a subset of the input after later-wins
+    // deduplication, each prefix at most once.
+    std::map<Prefix, NextHop> last;
+    for (const auto& e : fib) last[e.prefix] = e.next_hop;
+    std::set<Prefix> emitted;
+    for (const auto& e : cons) {
+      const auto it = last.find(e.prefix);
+      ASSERT_NE(it, last.end()) << e.prefix.to_cidr();
+      EXPECT_EQ(it->second, e.next_hop) << e.prefix.to_cidr();
+      EXPECT_TRUE(emitted.insert(e.prefix).second) << e.prefix.to_cidr();
+    }
   }
 }
 
