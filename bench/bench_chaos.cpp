@@ -74,23 +74,6 @@ engine::Config make_config(const util::Flags& flags, std::uint64_t seed) {
   return config;
 }
 
-std::vector<std::size_t> parse_bursts(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::size_t value = 0;
-  bool have = false;
-  for (const char c : spec + ",") {
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-      have = true;
-    } else if (have) {
-      if (value > 0) out.push_back(value);
-      value = 0;
-      have = false;
-    }
-  }
-  return out;
-}
-
 // --scenario mode: the adversarial scenario engine (chaos/scenario.hpp)
 // replaces the burst sweep.  Each semicolon-separated spec runs over
 // --schedules seeds; any per-seed failure (misclassified divergence,
@@ -252,7 +235,8 @@ int main(int argc, char** argv) {
   bench::define_exec_flags(flags);
   flags.define_int("schedules", 40, "fault schedules per burst size", 1,
                    1 << 24);
-  flags.define("bursts", "1,2,4", "correlated-burst sizes to sweep");
+  flags.define_int_list("bursts", {1, 2, 4}, "correlated-burst sizes to sweep",
+                        1, 1 << 20);
   flags.define_int("events", 5, "fault events per schedule", 1, 1 << 20);
   flags.define_duration("horizon", 120.0, "fault window length", 1.0, 86400.0);
   flags.define_int("prefixes", 12, "originations sampled from the assignment",
@@ -319,12 +303,7 @@ int main(int argc, char** argv) {
     return run_scenario_mode(flags, specs, scenario_text);
   }
 
-  const auto bursts = parse_bursts(flags.str("bursts"));
-  if (bursts.empty()) {
-    std::fprintf(stderr, "no burst sizes in --bursts=%s\n",
-                 flags.str("bursts").c_str());
-    return 1;
-  }
+  const auto bursts = flags.i64_list("bursts");
 
   auto pool = bench::make_thread_pool(flags);
   obs::MetricsRegistry agg, bench_metrics;

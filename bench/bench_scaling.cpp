@@ -40,23 +40,6 @@ using algebra::GrPathAlgebra;
 
 constexpr algebra::Attr kOriginAttr = GrPathAlgebra::make(GrClass::kCustomer, 0);
 
-std::vector<std::size_t> parse_list(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::size_t value = 0;
-  bool have = false;
-  for (const char c : spec + ",") {
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-      have = true;
-    } else if (have) {
-      if (value > 0) out.push_back(value);
-      value = 0;
-      have = false;
-    }
-  }
-  return out;
-}
-
 /// The per-schedule fields that must match across thread counts.
 struct Digest {
   std::uint64_t seed = 0;
@@ -121,8 +104,9 @@ int main(int argc, char** argv) {
   util::Flags flags;
   bench::define_scenario_flags(flags);
   bench::define_obs_flags(flags);
-  flags.define("threads-list", "1,2,4,8",
-               "thread counts to sweep (first entry is the baseline)");
+  flags.define_int_list("threads-list", {1, 2, 4, 8},
+                        "thread counts to sweep (first entry is the baseline)",
+                        1, 4096);
   flags.define_int("schedules", 32, "fault schedules per sweep", 1, 1 << 20);
   flags.define_int("events", 5, "fault events per schedule", 1, 1 << 20);
   flags.define_int("prefixes", 12, "originations sampled from the assignment",
@@ -134,12 +118,7 @@ int main(int argc, char** argv) {
   flags.print_config("bench_scaling");
   bench::apply_obs_flags();
 
-  const auto thread_counts = parse_list(flags.str("threads-list"));
-  if (thread_counts.empty()) {
-    std::fprintf(stderr, "no thread counts in --threads-list=%s\n",
-                 flags.str("threads-list").c_str());
-    return 1;
-  }
+  const auto thread_counts = flags.i64_list("threads-list");
 
   const auto scenario = bench::build_scenario(flags);
   const auto& topo = scenario.generated.graph;

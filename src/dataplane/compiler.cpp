@@ -49,19 +49,6 @@ namespace {
 
 }  // namespace
 
-fibcomp::Fib fib_from_simulator(const engine::Simulator& sim, NodeId node,
-                                SnapshotKind kind) {
-  DRAGON_SPAN("dataplane", "fib_snapshot");
-  const auto failed = failed_set(sim);
-  fibcomp::Fib fib;
-  sim.for_each_route([&](NodeId u, const prefix::Prefix& p,
-                         const RouteEntry& e) {
-    if (u != node || !wanted(e, kind)) return;
-    fib.push_back({p, next_hop_of(u, e, failed)});
-  });
-  return fib;
-}
-
 std::vector<fibcomp::Fib> fibs_from_simulator(const engine::Simulator& sim,
                                               SnapshotKind kind) {
   DRAGON_SPAN("dataplane", "fib_snapshot_all");

@@ -1,10 +1,10 @@
 // Compiling simulator routing state into servable LPM tables.
 //
-// The bridge between control plane and data plane: snapshot a node's
-// forwarding state out of a (quiescent) Simulator as a fibcomp::Fib —
+// The bridge between control plane and data plane: snapshot every node's
+// forwarding state out of a (quiescent) Simulator as fibcomp::Fibs —
 // next hops resolved exactly like Simulator::trace() resolves them, so
-// the compiled table forwards identically to the simulated node — then
-// flatten it into an immutable LpmTable ready for EpochPublished.
+// a compiled table forwards identically to its simulated node — then
+// flatten one into an immutable LpmTable ready for LookupServer::publish.
 //
 // Two snapshot kinds make DRAGON's payoff measurable: kPostDragon is the
 // real FIB (elected, not filtered); kPreDragon additionally keeps the
@@ -26,24 +26,20 @@ enum class SnapshotKind {
   kPreDragon,   ///< elected entries including DRAGON-filtered ones
 };
 
-/// Snapshot of one node's FIB.  Entry order follows the simulator's
-/// sorted per-node route iteration; next hops are kLocal for active
-/// originations, the lowest-id rib_in neighbour whose candidate equals
-/// the elected attribute over an alive link otherwise, kDrop when no
-/// such neighbour exists — the Simulator::trace() forwarding rule.
-[[nodiscard]] fibcomp::Fib fib_from_simulator(const engine::Simulator& sim,
-                                              engine::Simulator::NodeId node,
-                                              SnapshotKind kind);
-
 /// One pass over the whole RIB: the FIBs of every node at once (indexed
-/// by node id), e.g. to pick the busiest nodes to serve.
+/// by node id), e.g. to pick the busiest nodes to serve.  Entry order
+/// follows the simulator's sorted per-node route iteration; next hops are
+/// kLocal for active originations, the lowest-id rib_in neighbour whose
+/// candidate equals the elected attribute over an alive link otherwise,
+/// kDrop when no such neighbour exists — the Simulator::trace()
+/// forwarding rule.
 [[nodiscard]] std::vector<fibcomp::Fib> fibs_from_simulator(
     const engine::Simulator& sim, SnapshotKind kind);
 
 /// Snapshot-to-table pipeline with a fixed layout config.  compile()
-/// returns the unique_ptr<const LpmTable> shape EpochPublished::publish
+/// returns the unique_ptr<const LpmTable> shape LookupServer::publish
 /// consumes, so "recompile and hot-swap node u" is
-/// publish(compile(fib_from_simulator(sim, u, kind))).
+/// publish(compile(fibs_from_simulator(sim, kind)[u])).
 class FibCompiler {
  public:
   explicit FibCompiler(LpmConfig config = {}) : config_(config) {}

@@ -45,31 +45,54 @@ Address QueryGen::draw(util::Rng& rng) const noexcept {
   return first_[i] + static_cast<Address>(rng.below(size_[i]));
 }
 
-LookupServer::LookupServer(LookupServerConfig config)
-    : config_(config), domain_(config.max_readers), published_(domain_) {}
+LookupServer::LookupServer(LookupServerConfig config) : config_(config) {}
 
 void LookupServer::publish(std::unique_ptr<const LpmTable> table) {
   DRAGON_SPAN_ARG("dataplane", "table_swap", "bytes",
                   table != nullptr ? table->stats().table_bytes : 0);
-  published_.publish(std::move(table));
+  // Allocates the control block here, outside the lock.
+  std::shared_ptr<const LpmTable> next(std::move(table));
+  std::shared_ptr<const LpmTable> old;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    old = std::exchange(current_, std::move(next));
+    ++publish_count_;
+  }
+  if (old != nullptr) retired_.push_back(std::move(old));
+  free_unheld();
 }
 
 std::size_t LookupServer::reclaim() {
   DRAGON_SPAN("dataplane", "table_reclaim");
-  return published_.reclaim();
+  return free_unheld();
+}
+
+std::size_t LookupServer::free_unheld() {
+  std::erase_if(retired_, [](const std::shared_ptr<const LpmTable>& t) {
+    return t.use_count() == 1;
+  });
+  return retired_.size();
+}
+
+std::size_t LookupServer::publish_count() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return publish_count_;
+}
+
+std::shared_ptr<const LpmTable> LookupServer::current() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return current_;
 }
 
 BatchResult LookupServer::serve(const QueryGen& gen, util::Rng rng,
                                 std::uint64_t count) const {
   DRAGON_SPAN_ARG("dataplane", "serve_batch", "queries", count);
   BatchResult r;
-  EpochReader reader(domain_);
   const std::uint64_t pin_batch =
       config_.pin_batch == 0 ? 1 : config_.pin_batch;
   std::uint64_t served = 0;
   while (served < count) {
-    reader.pin();
-    const LpmTable* table = published_.read();  // after the pin
+    const std::shared_ptr<const LpmTable> table = current();
     const std::uint64_t batch = std::min<std::uint64_t>(pin_batch,
                                                         count - served);
     for (std::uint64_t q = 0; q < batch; ++q) {

@@ -1,29 +1,29 @@
 // Multi-threaded LPM query serving over hot-swappable compiled tables.
 //
-// A LookupServer owns the EpochDomain + EpochPublished pair for one
-// serving node: the control plane publishes freshly compiled LpmTables
-// through it while reader threads answer batched queries against
-// whichever table their pinned epoch sees.  Query streams come from a
-// QueryGen (uniform or Zipf-skewed mixes over the FIB's prefixes); a
-// caller that splits a stream over readers forks one RNG stream per
-// reader, so the combined result does not depend on the thread count
-// while the table is static.
+// A LookupServer holds one serving node's live table as a
+// std::shared_ptr<const LpmTable> behind a mutex: the control plane
+// publishes freshly compiled LpmTables through it while reader threads
+// answer batched queries against a copy of whichever table was live when
+// their batch began.  Query streams come from a QueryGen (uniform or
+// Zipf-skewed mixes over the FIB's prefixes); a caller that splits a
+// stream over readers forks one RNG stream per reader, so the combined
+// result does not depend on the thread count while the table is static.
 //
 // Threading contract:
-//   * One *owner* thread calls publish/reclaim.
-//   * serve() is safe from any thread concurrently with the owner's
-//     publishes (it is const and touches only its own reader slot); the
-//     TSan preset drives exactly that: pool workers serving while the
-//     owner hot-swaps.
+//   * One *owner* thread calls publish/reclaim; only it frees tables.
+//   * serve() and current() are safe from any thread concurrently with
+//     the owner's publishes (they take the lock only to copy the
+//     shared_ptr); the TSan preset drives exactly that: pool workers
+//     serving while the owner hot-swaps.
 //   * Workers return plain BatchResults; the caller combines them after
 //     the join.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
-#include "dataplane/epoch.hpp"
 #include "dataplane/lpm_table.hpp"
 #include "fibcomp/fib.hpp"
 #include "util/rng.hpp"
@@ -77,12 +77,14 @@ struct BatchResult {
 };
 
 struct LookupServerConfig {
-  /// EpochDomain slot capacity: the most readers ever concurrently
-  /// registered (pool threads, not chunks — slots are per in-flight
-  /// serve call).
+  /// Inert: nothing reads it.  It stays only because
+  /// pipebench/pipebench.cpp builds this config positionally
+  /// ({max_readers, pin_batch}) and pipebench/ changes only with the
+  /// benchmark; delete it together with that call site.
   std::size_t max_readers = 64;
-  /// Queries served per epoch pin; smaller values drain retired tables
-  /// faster during hot-swap at the cost of more pin stores.
+  /// Queries served per copy of the live table; smaller values let
+  /// retired tables go sooner during hot-swap at the cost of more lock
+  /// round trips.
   std::size_t pin_batch = 1024;
 };
 
@@ -92,40 +94,41 @@ class LookupServer {
 
   // --- Control plane (owner thread) ----------------------------------------
 
-  /// Hot-swaps in a new table; retires and (when drained) reclaims the
-  /// old one.  Safe while readers serve.
+  /// Hot-swaps in a new table, retires the old one, and frees every
+  /// retired table no reader still holds.  Safe while readers serve.
   void publish(std::unique_ptr<const LpmTable> table);
 
-  /// Frees retired tables whose readers have drained.  Returns how many
-  /// are still outstanding.
+  /// Frees retired tables no reader still holds.  Returns how many are
+  /// still outstanding.
   std::size_t reclaim();
 
   // --- Data plane (any thread) ---------------------------------------------
 
-  /// Serves `count` queries drawn from gen with `rng`, pinning the epoch
-  /// every pin_batch queries so concurrent publishes can retire tables
-  /// underneath.  Queries before the first publish count as drops.
+  /// Serves `count` queries drawn from gen with `rng`, taking a copy of
+  /// current() every pin_batch queries so concurrent publishes can retire
+  /// tables underneath.  Queries before the first publish count as drops.
   [[nodiscard]] BatchResult serve(const QueryGen& gen, util::Rng rng,
                                   std::uint64_t count) const;
 
-  [[nodiscard]] EpochDomain& domain() noexcept { return domain_; }
-  [[nodiscard]] std::size_t publish_count() const {
-    return published_.publish_count();
-  }
-  /// The live table.  Valid for the owner thread (the only reclaimer, so
-  /// the pointer cannot be freed underneath it) and for readers between a
-  /// pin on their slot in domain() and the matching unpin/re-pin.
-  [[nodiscard]] const LpmTable* current() const noexcept {
-    return published_.read();
-  }
+  [[nodiscard]] std::size_t publish_count() const;
+  /// The live table, or null before the first publish.  The copy keeps
+  /// its table alive for as long as the caller holds it, across any
+  /// number of publishes.
+  [[nodiscard]] std::shared_ptr<const LpmTable> current() const;
 
  private:
+  /// Frees the retired tables whose only owner is retired_ itself and
+  /// returns how many remain.  A retired table's count can only fall:
+  /// readers copy only current_, under mu_.  So use_count() == 1 is
+  /// exact, and while a table is current or retired a reader's copy is
+  /// never its last owner: frees stay on the owner thread.
+  std::size_t free_unheld();
+
   LookupServerConfig config_;
-  /// mutable: serve() is const (callable concurrently from readers) but
-  /// must pin/unpin its reader slot — slot traffic is the readers' own
-  /// lock-free state, not logical mutation of the server.
-  mutable EpochDomain domain_;
-  EpochPublished<LpmTable> published_;
+  mutable std::mutex mu_;  ///< guards current_ and publish_count_
+  std::shared_ptr<const LpmTable> current_;
+  std::size_t publish_count_ = 0;
+  std::vector<std::shared_ptr<const LpmTable>> retired_;  ///< owner only
 };
 
 }  // namespace dragon::dataplane

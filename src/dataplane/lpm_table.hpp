@@ -20,7 +20,7 @@
 // Tables are immutable after compile() — lookup() is const, data-race-free
 // by construction, and safe to share across any number of reader threads.
 // Mutation is replacement: compile a new table and publish it through
-// dataplane::EpochPublished (epoch.hpp).
+// dataplane::LookupServer (lookup_server.hpp).
 #pragma once
 
 #include <cstdint>

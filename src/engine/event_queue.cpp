@@ -27,10 +27,6 @@ std::size_t EventQueue::run_until(Time max_time) {
   return count;
 }
 
-void EventQueue::clear() {
-  while (!heap_.empty()) heap_.pop();
-}
-
 void EventQueue::reset_time(Time t) {
   if (!heap_.empty()) {
     throw std::logic_error("EventQueue::reset_time on a non-empty queue");

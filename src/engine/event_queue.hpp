@@ -31,8 +31,6 @@ class EventQueue {
   /// after max_time stay queued).  Returns the number of events run.
   std::size_t run_until(Time max_time);
 
-  void clear();
-
   /// Rewinds (or advances) the clock to `t`.  Only valid on an empty
   /// queue — pending events carry absolute timestamps that a time jump
   /// would reorder.  Simulator::restore() uses this to put the clock

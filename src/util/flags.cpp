@@ -22,11 +22,28 @@ std::optional<std::int64_t> parse_i64(const std::string& s) {
   return static_cast<std::int64_t>(v);
 }
 
+/// Strict integer-list parse: comma-separated parse_i64 entries in
+/// [min, max], at least one and none empty.
+std::optional<std::vector<std::int64_t>> parse_i64_list(const std::string& s,
+                                                        std::int64_t min,
+                                                        std::int64_t max) {
+  std::vector<std::int64_t> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = s.find(',', start);
+    const auto v = parse_i64(s.substr(start, comma - start));
+    if (!v || *v < min || *v > max) return std::nullopt;
+    out.push_back(*v);
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
 /// Strict duration parse: a non-negative decimal number immediately
 /// followed by a unit suffix (`ms`, `s`, `m`, `h`) consuming the whole
-/// string.  Returns the value in seconds.  A bare number is rejected on
-/// purpose: "--hold-time 90" is ambiguous in a config that mixes
-/// second- and millisecond-scale knobs.
+/// string.  Returns the value in seconds, which must be finite.  A bare
+/// number is rejected on purpose: "--hold-time 90" is ambiguous in a
+/// config that mixes second- and millisecond-scale knobs.
 std::optional<double> parse_duration_seconds(const std::string& s) {
   if (s.empty() || s.front() == '-' || s.front() == '+') return std::nullopt;
   errno = 0;
@@ -35,11 +52,17 @@ std::optional<double> parse_duration_seconds(const std::string& s) {
   // !(v >= 0) also rejects a parsed NaN, which would otherwise slip
   // through the range check (NaN comparisons are all false).
   if (errno == ERANGE || end == s.c_str() || !(v >= 0.0)) return std::nullopt;
+  // `inf` parses, and a huge value overflows once scaled; without a
+  // finite upper bound either would pass the range check.
+  const auto finite = [](double seconds) -> std::optional<double> {
+    if (!std::isfinite(seconds)) return std::nullopt;
+    return seconds;
+  };
   const std::string_view unit(end, s.c_str() + s.size() - end);
-  if (unit == "ms") return v * 1e-3;
-  if (unit == "s") return v;
-  if (unit == "m") return v * 60.0;
-  if (unit == "h") return v * 3600.0;
+  if (unit == "ms") return finite(v * 1e-3);
+  if (unit == "s") return finite(v);
+  if (unit == "m") return finite(v * 60.0);
+  if (unit == "h") return finite(v * 3600.0);
   return std::nullopt;
 }
 
@@ -80,6 +103,23 @@ void Flags::define_int(std::string name, std::int64_t default_value,
   e.default_value = e.value;
   e.help = std::move(help);
   e.is_int = true;
+  e.min = min;
+  e.max = max;
+  entries_.insert_or_assign(std::move(name), std::move(e));
+}
+
+void Flags::define_int_list(std::string name,
+                            const std::vector<std::int64_t>& default_value,
+                            std::string help, std::int64_t min,
+                            std::int64_t max) {
+  Entry e;
+  for (const std::int64_t v : default_value) {
+    if (!e.value.empty()) e.value += ',';
+    e.value += std::to_string(v);
+  }
+  e.default_value = e.value;
+  e.help = std::move(help);
+  e.is_int_list = true;
   e.min = min;
   e.max = max;
   entries_.insert_or_assign(std::move(name), std::move(e));
@@ -159,6 +199,16 @@ bool Flags::parse(int argc, char** argv) {
         return false;
       }
     }
+    if (it->second.is_int_list &&
+        !parse_i64_list(value, it->second.min, it->second.max)) {
+      std::fprintf(stderr,
+                   "flag --%s: invalid value '%s' (expected comma-separated "
+                   "integers in [%lld, %lld])\n",
+                   name.c_str(), value.c_str(),
+                   static_cast<long long>(it->second.min),
+                   static_cast<long long>(it->second.max));
+      return false;
+    }
     if (it->second.is_duration) {
       const auto parsed = parse_duration_seconds(value);
       if (!parsed || *parsed < it->second.min_seconds ||
@@ -229,6 +279,17 @@ double Flags::seconds(std::string_view name) const {
   }
   // Parse-time validation guarantees this succeeds for duration flags.
   return *parse_duration_seconds(e.value);
+}
+
+std::vector<std::int64_t> Flags::i64_list(std::string_view name) const {
+  const Entry& e = entry(name);
+  if (!e.is_int_list) {
+    throw std::out_of_range("flag --" + std::string(name) +
+                            " was not declared with define_int_list");
+  }
+  // Parse-time validation guarantees this succeeds for parsed values; a
+  // default outside [min, max] throws std::bad_optional_access.
+  return parse_i64_list(e.value, e.min, e.max).value();
 }
 
 bool Flags::boolean(std::string_view name) const {

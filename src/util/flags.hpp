@@ -31,6 +31,17 @@ class Flags {
                   std::int64_t min = std::numeric_limits<std::int64_t>::min(),
                   std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
+  /// Declares a comma-separated integer-list flag validated at parse time
+  /// like define_int: every entry must be a complete base-10 integer
+  /// inside [min, max]; an empty list, an empty entry (a stray or doubled
+  /// comma) or any bad entry is a hard parse error naming the flag and the
+  /// accepted range.  Read the value with i64_list().
+  void define_int_list(
+      std::string name, const std::vector<std::int64_t>& default_value,
+      std::string help,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
   /// Declares a duration flag validated at parse time.  Values are a
   /// non-negative decimal number with a mandatory unit suffix — `ms`, `s`,
   /// `m`, or `h` (e.g. `--hold-time 90s`, `--restart-window 2m`,
@@ -57,6 +68,9 @@ class Flags {
   [[nodiscard]] bool boolean(std::string_view name) const;
   /// The value of a define_duration flag, in seconds.
   [[nodiscard]] double seconds(std::string_view name) const;
+  /// The entries of a define_int_list flag, in order.
+  [[nodiscard]] std::vector<std::int64_t> i64_list(
+      std::string_view name) const;
 
   /// Prints `--name=value` lines for every flag (used to log experiment
   /// configurations into the bench output).
@@ -67,8 +81,10 @@ class Flags {
     std::string value;
     std::string default_value;
     std::string help;
-    /// Integer flags carry their accepted range; string flags do not.
+    /// Integer and integer-list flags carry their accepted range (per
+    /// entry for lists); string flags do not.
     bool is_int = false;
+    bool is_int_list = false;
     std::int64_t min = 0;
     std::int64_t max = 0;
     /// Duration flags carry a range in seconds (value strings keep the

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <regex>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "stats/ccdf.hpp"
 #include "stats/table.hpp"
@@ -183,6 +188,43 @@ TEST(Flags, IntFlagRejectsMalformedValues) {
   }
 }
 
+TEST(Flags, IntListFlagAcceptsValuesInRange) {
+  util::Flags flags;
+  flags.define_int_list("threads-list", {1, 2, 4, 8}, "sweep", 1, 4096);
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, const_cast<char**>(none)));
+  // The default renders back in the form a user would type it.
+  EXPECT_EQ(flags.str("threads-list"), "1,2,4,8");
+  EXPECT_EQ(flags.i64_list("threads-list"),
+            (std::vector<std::int64_t>{1, 2, 4, 8}));
+
+  const char* argv[] = {"prog", "--threads-list", "4096,1,3"};
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.i64_list("threads-list"),
+            (std::vector<std::int64_t>{4096, 1, 3}));
+}
+
+TEST(Flags, IntListFlagRejectsMalformedValues) {
+  // Every entry must be a whole integer in range: no separator other
+  // than one comma between entries, no dropped zeros, no wrap-around.
+  for (const char* bad :
+       {"--l=1,x,2a,0", "--l=2a,zz", "--l=", "--l=,", "--l=1,", "--l=,1",
+        "--l=1,,2", "--l=0", "--l=1,5000", "--l=-1", "--l=1;2", "--l=1 2",
+        "--l=1.5", "--l=18446744073709551617"}) {
+    util::Flags flags;
+    flags.define_int_list("l", {1}, "sweep", 1, 4096);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+    EXPECT_EQ(flags.i64_list("l"), (std::vector<std::int64_t>{1})) << bad;
+  }
+}
+
+TEST(Flags, IntListLookupThrowsOnNonListFlag) {
+  util::Flags flags;
+  flags.define("threads-list", "1,2", "plain string flag");
+  EXPECT_THROW((void)flags.i64_list("threads-list"), std::out_of_range);
+}
+
 TEST(Flags, NegativeIntFlagThrowsOnUnsignedLookup) {
   util::Flags flags;
   flags.define_int("only-tree", -1, "debug index", -1, 1000);
@@ -264,6 +306,18 @@ TEST(Flags, DurationFlagEnforcesRange) {
   EXPECT_DOUBLE_EQ(flags.seconds("t"), 0.01);
 }
 
+TEST(Flags, DurationFlagRejectsNonFiniteWithoutUpperBound) {
+  // With the default (infinite) upper bound only finiteness keeps `inf`
+  // and overflowing values out.
+  for (const char* bad : {"--t=infs", "--t=infinitym", "--t=1e308h",
+                          "--t=nanms", "--t=1e999s"}) {
+    util::Flags flags;
+    flags.define_duration("t", 1.0, "");
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+  }
+}
+
 TEST(Flags, SecondsLookupThrowsOnNonDurationFlag) {
   util::Flags flags;
   flags.define("mrai", "5", "plain string flag");
@@ -271,6 +325,118 @@ TEST(Flags, SecondsLookupThrowsOnNonDurationFlag) {
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_THROW((void)flags.seconds("mrai"), std::out_of_range);
   EXPECT_THROW((void)flags.seconds("undeclared"), std::out_of_range);
+}
+
+TEST(Flags, SeededMutationsFailParseOrReadBackInRange) {
+  // Mutates a valid value of each flag kind (a string read as f64, int,
+  // bounded and unbounded duration, int list) and parses it.  Every
+  // mutation must either fail parse() with a message naming the flag or
+  // leave every typed getter returning an in-range value or throwing
+  // std::invalid_argument; anything else (a crash, a wrapped or
+  // non-finite value, another exception) fails the test.
+  const auto declare = [](util::Flags& flags) {
+    flags.define("rate", "0.5", "string read as f64");
+    flags.define_int("count", 4, "int", -100, 1000);
+    flags.define_duration("hold", 1.0, "bounded duration", 0.001, 3600.0);
+    flags.define_duration("window", 1.0, "unbounded duration");
+    flags.define_int_list("list", {1, 2}, "int list", 1, 4096);
+  };
+  const std::pair<const char*, const char*> valid[] = {
+      {"rate", "0.75"}, {"count", "-42"},    {"hold", "1.5s"},
+      {"window", "250ms"}, {"list", "1,16,4096"}};
+  const std::string specials[] = {
+      "nan", "inf", "-inf", "infinity", "1e999", "-1e999",
+      "123456789012345678901234567890", ",", ",,", "0", "-0"};
+
+  const auto mutate = [&](std::string v, util::Rng& rng) {
+    const int steps = 1 + static_cast<int>(rng.below(3));
+    for (int i = 0; i < steps; ++i) {
+      const std::size_t at = rng.below(v.size() + 1);
+      switch (rng.below(6)) {
+        case 0:  // byte flip
+          if (!v.empty()) {
+            v[at % v.size()] = static_cast<char>(1 + rng.below(255));
+          }
+          break;
+        case 1:  // truncation
+          v.resize(at);
+          break;
+        case 2:  // duplication of a tail
+          v += v.substr(at);
+          break;
+        case 3: {  // a special token over a random run
+          const std::size_t len = rng.below(v.size() - at + 1);
+          v.replace(at, len, specials[rng.below(std::size(specials))]);
+          break;
+        }
+        case 4: {  // a 30-digit number spliced in
+          std::string digits;
+          for (int d = 0; d < 30; ++d) {
+            digits += static_cast<char>('0' + rng.below(10));
+          }
+          v.insert(at, digits);
+          break;
+        }
+        default:  // a stray comma, or a doubled one
+          v.insert(at, rng.chance(0.5) ? "," : ",,");
+          break;
+      }
+    }
+    return v;
+  };
+
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  ::testing::internal::CaptureStderr();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+    util::Rng rng(seed);
+    for (int round = 0; round < 250; ++round) {
+      for (const auto& [name, value] : valid) {
+        const std::string mutated = mutate(value, rng);
+        util::Flags flags;
+        declare(flags);
+        const std::string flag = std::string("--") + name;
+        const std::string joined = flag + "=" + mutated;
+        const bool split = rng.chance(0.5);
+        const char* argv_split[] = {"prog", flag.c_str(), mutated.c_str()};
+        const char* argv_joined[] = {"prog", joined.c_str()};
+        const bool ok =
+            split ? flags.parse(3, const_cast<char**>(argv_split))
+                  : flags.parse(2, const_cast<char**>(argv_joined));
+        if (!ok) {
+          ++rejected;
+          continue;
+        }
+        ++parsed;
+        const std::string ctx = joined + " (seed " + std::to_string(seed) + ")";
+        try {
+          EXPECT_TRUE(std::isfinite(flags.f64("rate"))) << ctx;
+        } catch (const std::invalid_argument&) {
+        }
+        const std::int64_t count = flags.i64("count");
+        EXPECT_TRUE(count >= -100 && count <= 1000) << ctx;
+        const double hold = flags.seconds("hold");
+        EXPECT_TRUE(hold >= 0.001 && hold <= 3600.0) << ctx;
+        const double window = flags.seconds("window");
+        EXPECT_TRUE(std::isfinite(window) && window >= 0.0) << ctx;
+        const std::vector<std::int64_t> list = flags.i64_list("list");
+        EXPECT_FALSE(list.empty()) << ctx;
+        for (const std::int64_t v : list) {
+          EXPECT_TRUE(v >= 1 && v <= 4096) << ctx;
+        }
+      }
+    }
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // Both outcomes happen, and each rejection names its flag.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+  std::size_t named = 0;
+  for (std::size_t at = err.find("flag --"); at != std::string::npos;
+       at = err.find("flag --", at + 1)) {
+    ++named;
+  }
+  EXPECT_GE(named, rejected);
 }
 
 // ---------------------------------------------------------------------------
