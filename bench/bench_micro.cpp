@@ -2,7 +2,8 @@
 // substrate pieces: prefix trie operations, the intern table, the flat
 // RIB (insert/lookup/elect), forest construction, the per-origin GR
 // sweep, the generic solver, both FIB compressors (ORTC and remove-only),
-// and the event engine's end-to-end convergence.
+// the compiled LPM table and its query generator, and the event engine's
+// end-to-end convergence.
 //
 // Besides the console table, `--metrics-json=PATH` writes every per-run
 // ns/iter figure into a registry-shaped JSON artifact (BENCH_micro.json
@@ -273,28 +274,39 @@ void BM_ConservativeCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_ConservativeCompress)->Arg(10000)->Arg(50000);
 
-// Compiled-LPM serving: one lookup against a DIR-24-8-style LpmTable
-// (top_bits=16, the LpmConfig default).  Arg pair is
-// {fib entries, mix} with mix 0 = uniform over prefixes, 1 = Zipf-skewed
-// with 5% whole-address-space misses — the traffic shape pipebench's
-// converge_serve serves at scale.
-void BM_DataplaneLookup(benchmark::State& state) {
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), 21);
+// The served FIB of the data-plane benches: `entries` random prefixes
+// with next hops in [0, 64).
+fibcomp::Fib dataplane_fib(std::size_t entries) {
+  const auto prefixes = random_prefixes(entries, 21);
   fibcomp::Fib fib;
   fib.reserve(prefixes.size());
   util::Rng hop_rng(22);
   for (const auto& p : prefixes) {
     fib.push_back({p, static_cast<fibcomp::NextHop>(hop_rng.below(64))});
   }
-  const auto table = dataplane::LpmTable::compile(fib, {/*top_bits=*/16});
+  return fib;
+}
+
+// Zipf-skewed over the FIB's prefixes with 5% whole-address-space
+// misses: the traffic shape pipebench's converge_serve serves at scale.
+dataplane::QueryMix zipf_mix() {
   dataplane::QueryMix mix;
-  if (state.range(1) != 0) {
-    mix.kind = dataplane::QueryMix::Kind::kZipf;
-    mix.zipf_s = 1.0;
-    mix.miss_fraction = 0.05;
-  }
-  const dataplane::QueryGen gen(fib, mix);
+  mix.kind = dataplane::QueryMix::Kind::kZipf;
+  mix.zipf_s = 1.0;
+  mix.miss_fraction = 0.05;
+  return mix;
+}
+
+// Compiled-LPM serving: one query drawn and looked up against a
+// DIR-24-8-style LpmTable (top_bits=16, the LpmConfig default).  Arg
+// pair is {fib entries, mix} with mix 0 = uniform over prefixes,
+// 1 = zipf_mix().  The lookup's own cost is this minus
+// BM_DataplaneQueryGen at the same size.
+void BM_DataplaneLookup(benchmark::State& state) {
+  const auto fib = dataplane_fib(static_cast<std::size_t>(state.range(0)));
+  const auto table = dataplane::LpmTable::compile(fib, {/*top_bits=*/16});
+  const dataplane::QueryGen gen(
+      fib, state.range(1) != 0 ? zipf_mix() : dataplane::QueryMix{});
   util::Rng rng(23);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(gen.draw(rng)));
@@ -305,6 +317,19 @@ BENCHMARK(BM_DataplaneLookup)
     ->Args({10000, 0})
     ->Args({10000, 1})
     ->Args({100000, 1});
+
+// The query generator alone: one zipf_mix() draw over `entries`
+// prefixes, the same stream BM_DataplaneLookup looks up.
+void BM_DataplaneQueryGen(benchmark::State& state) {
+  const auto fib = dataplane_fib(static_cast<std::size_t>(state.range(0)));
+  const dataplane::QueryGen gen(fib, zipf_mix());
+  util::Rng rng(23);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.draw(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DataplaneQueryGen)->Arg(10000)->Arg(100000);
 
 // FIB -> LpmTable compilation (the control-plane cost of a hot-swap).
 void BM_FibCompile(benchmark::State& state) {

@@ -6,6 +6,7 @@
 // efficiency at each stage.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.hpp"
 #include "dragon/efficiency.hpp"
@@ -17,9 +18,10 @@ int main(int argc, char** argv) {
   using namespace dragon;
   util::Flags flags;
   bench::define_scenario_flags(flags);
-  flags.define("prefix-cap", "4000",
-               "cap on assignment prefixes (suppression sweeps are pricier "
-               "than the closed form)");
+  flags.define_int("prefix-cap", 4000,
+                   "cap on assignment prefixes (suppression sweeps are "
+                   "pricier than the closed form)",
+                   1, std::numeric_limits<std::int64_t>::max());
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_partial_deployment");
 

@@ -15,9 +15,10 @@ int main(int argc, char** argv) {
   using namespace dragon;
   util::Flags flags;
   bench::define_scenario_flags(flags);
-  flags.define("extra-peering-pct", "25,50,100",
-               "extra IXP peer links to add, as % of the original link "
-               "count (comma separated)");
+  flags.define_int_list("extra-peering-pct", {25, 50, 100},
+                        "extra IXP peer links to add, as whole % of the "
+                        "original link count (comma separated)",
+                        0, 1000);
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_peering_sensitivity");
 
@@ -38,22 +39,9 @@ int main(int argc, char** argv) {
   table.add_row({"0 (baseline)", stats::format_number(100 * median_def),
                  stats::format_number(100 * median_agg), "0", "0"});
 
-  // Parse the percentage list.
-  std::vector<double> percents;
-  {
-    std::string spec = flags.str("extra-peering-pct");
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      const auto comma = spec.find(',', pos);
-      const auto field = spec.substr(pos, comma - pos);
-      percents.push_back(std::strtod(field.c_str(), nullptr));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-
   util::Rng rng(scenario.trial_seed);
-  for (double pct : percents) {
+  for (const std::int64_t whole_pct : flags.i64_list("extra-peering-pct")) {
+    const auto pct = static_cast<double>(whole_pct);
     auto augmented = scenario.generated;  // deep copy, fresh each level
     const auto extra = static_cast<std::size_t>(
         pct / 100.0 * static_cast<double>(augmented.graph.link_count()));

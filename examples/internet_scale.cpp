@@ -10,6 +10,7 @@
 //
 // Build and run:  ./build/examples/internet_scale [--seed N] ...
 #include <cstdio>
+#include <limits>
 
 #include "addressing/assignment.hpp"
 #include "dragon/efficiency.hpp"
@@ -20,10 +21,11 @@
 int main(int argc, char** argv) {
   using namespace dragon;
   util::Flags flags;
-  flags.define("tier1", "8", "tier-1 ASs");
-  flags.define("transit", "200", "transit ASs");
-  flags.define("stubs", "1200", "stub ASs");
-  flags.define("seed", "7", "scenario seed");
+  flags.define_int("tier1", 8, "tier-1 ASs", 1, 1 << 16);
+  flags.define_int("transit", 200, "transit ASs", 0, 1 << 24);
+  flags.define_int("stubs", 1200, "stub ASs", 0, 1 << 24);
+  flags.define_int("seed", 7, "scenario seed", 0,
+                   std::numeric_limits<std::int64_t>::max());
   if (!flags.parse(argc, argv)) return 1;
 
   topology::GeneratorParams tparams;

@@ -18,6 +18,7 @@
 // Without --file it demonstrates the pipeline on a small generated file.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "addressing/assignment.hpp"
@@ -32,7 +33,8 @@ int main(int argc, char** argv) {
   using namespace dragon;
   util::Flags flags;
   flags.define("file", "", "AS-relationship file (as1|as2|rel per line)");
-  flags.define("seed", "3", "seed for the synthetic prefix assignment");
+  flags.define_int("seed", 3, "seed for the synthetic prefix assignment", 0,
+                   std::numeric_limits<std::int64_t>::max());
   if (!flags.parse(argc, argv)) return 1;
 
   // 1. Load (or fabricate a demonstration file).

@@ -239,24 +239,21 @@ std::string Flags::str(std::string_view name) const { return entry(name).value; 
 
 std::int64_t Flags::i64(std::string_view name) const {
   const Entry& e = entry(name);
-  if (e.is_int) {
-    // Parse-time validation guarantees this succeeds for int flags.
-    return *parse_i64(e.value);
+  if (!e.is_int) {
+    throw std::out_of_range("flag --" + std::string(name) +
+                            " was not declared with define_int");
   }
-  return std::strtoll(e.value.c_str(), nullptr, 10);
+  // Parse-time validation guarantees this succeeds for int flags.
+  return *parse_i64(e.value);
 }
 
 std::uint64_t Flags::u64(std::string_view name) const {
-  const Entry& e = entry(name);
-  if (e.is_int) {
-    const std::int64_t v = *parse_i64(e.value);
-    if (v < 0) {
-      throw std::out_of_range("flag --" + std::string(name) +
-                              ": negative value read as unsigned");
-    }
-    return static_cast<std::uint64_t>(v);
+  const std::int64_t v = i64(name);
+  if (v < 0) {
+    throw std::out_of_range("flag --" + std::string(name) +
+                            ": negative value read as unsigned");
   }
-  return std::strtoull(e.value.c_str(), nullptr, 10);
+  return static_cast<std::uint64_t>(v);
 }
 
 double Flags::f64(std::string_view name) const {

@@ -60,6 +60,9 @@ class Flags {
   [[nodiscard]] bool parse(int argc, char** argv);
 
   [[nodiscard]] std::string str(std::string_view name) const;
+  /// The value of a define_int flag; any other flag throws
+  /// std::out_of_range, so an integer is read only where parse()
+  /// validated it.  u64() also throws on a negative value.
   [[nodiscard]] std::int64_t i64(std::string_view name) const;
   [[nodiscard]] std::uint64_t u64(std::string_view name) const;
   /// Throws std::invalid_argument unless the whole value is one finite

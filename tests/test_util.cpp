@@ -113,7 +113,7 @@ TEST(Rng, ForkIndependentButDeterministic) {
 
 TEST(Flags, ParsesAllForms) {
   util::Flags flags;
-  flags.define("nodes", "100", "node count");
+  flags.define_int("nodes", 100, "node count");
   flags.define("rate", "0.5", "a rate");
   flags.define("verbose", "false", "chatty");
   flags.define("name", "x", "a name");
@@ -144,7 +144,7 @@ TEST(Flags, RejectsUnknownFlag) {
 
 TEST(Flags, DefaultsApplyWithoutArgs) {
   util::Flags flags;
-  flags.define("seed", "7", "");
+  flags.define_int("seed", 7, "");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_EQ(flags.i64("seed"), 7);
@@ -223,6 +223,18 @@ TEST(Flags, IntListLookupThrowsOnNonListFlag) {
   util::Flags flags;
   flags.define("threads-list", "1,2", "plain string flag");
   EXPECT_THROW((void)flags.i64_list("threads-list"), std::out_of_range);
+}
+
+TEST(Flags, IntLookupThrowsOnNonIntFlag) {
+  // A string flag is never read as an integer: strtoull would have read
+  // `--prefix-cap abc` as 0.
+  util::Flags flags;
+  flags.define("prefix-cap", "4000", "plain string flag");
+  const char* argv[] = {"prog", "--prefix-cap", "abc"};
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_THROW((void)flags.u64("prefix-cap"), std::out_of_range);
+  EXPECT_THROW((void)flags.i64("prefix-cap"), std::out_of_range);
+  EXPECT_THROW((void)flags.i64("undeclared"), std::out_of_range);
 }
 
 TEST(Flags, NegativeIntFlagThrowsOnUnsignedLookup) {
@@ -328,22 +340,27 @@ TEST(Flags, SecondsLookupThrowsOnNonDurationFlag) {
 }
 
 TEST(Flags, SeededMutationsFailParseOrReadBackInRange) {
-  // Mutates a valid value of each flag kind (a string read as f64, int,
-  // bounded and unbounded duration, int list) and parses it.  Every
-  // mutation must either fail parse() with a message naming the flag or
-  // leave every typed getter returning an in-range value or throwing
-  // std::invalid_argument; anything else (a crash, a wrapped or
-  // non-finite value, another exception) fails the test.
+  // Mutates a valid value of each flag kind (a string read as f64, a
+  // plain string, signed and unsigned int, bounded and unbounded
+  // duration, int list) and parses it.  Every mutation must either fail
+  // parse() with a message naming the flag or leave every typed getter
+  // returning an in-range value or throwing std::invalid_argument, and
+  // the integer getters must throw std::out_of_range on the string
+  // flags; anything else (a crash, a wrapped or non-finite value, a
+  // string read as a number, another exception) fails the test.
   const auto declare = [](util::Flags& flags) {
     flags.define("rate", "0.5", "string read as f64");
+    flags.define("label", "4000", "plain string");
     flags.define_int("count", 4, "int", -100, 1000);
+    flags.define_int("cap", 4000, "int read as u64", 1, 1 << 30);
     flags.define_duration("hold", 1.0, "bounded duration", 0.001, 3600.0);
     flags.define_duration("window", 1.0, "unbounded duration");
     flags.define_int_list("list", {1, 2}, "int list", 1, 4096);
   };
   const std::pair<const char*, const char*> valid[] = {
-      {"rate", "0.75"}, {"count", "-42"},    {"hold", "1.5s"},
-      {"window", "250ms"}, {"list", "1,16,4096"}};
+      {"rate", "0.75"},    {"label", "4000"}, {"count", "-42"},
+      {"cap", "4000"},     {"hold", "1.5s"},  {"window", "250ms"},
+      {"list", "1,16,4096"}};
   const std::string specials[] = {
       "nan", "inf", "-inf", "infinity", "1e999", "-1e999",
       "123456789012345678901234567890", ",", ",,", "0", "-0"};
@@ -413,8 +430,14 @@ TEST(Flags, SeededMutationsFailParseOrReadBackInRange) {
           EXPECT_TRUE(std::isfinite(flags.f64("rate"))) << ctx;
         } catch (const std::invalid_argument&) {
         }
+        for (const char* text : {"rate", "label"}) {
+          EXPECT_THROW((void)flags.i64(text), std::out_of_range) << ctx;
+          EXPECT_THROW((void)flags.u64(text), std::out_of_range) << ctx;
+        }
         const std::int64_t count = flags.i64("count");
         EXPECT_TRUE(count >= -100 && count <= 1000) << ctx;
+        const std::uint64_t cap = flags.u64("cap");
+        EXPECT_TRUE(cap >= 1 && cap <= (1u << 30)) << ctx;
         const double hold = flags.seconds("hold");
         EXPECT_TRUE(hold >= 0.001 && hold <= 3600.0) << ctx;
         const double window = flags.seconds("window");
