@@ -68,9 +68,6 @@ engine::Config make_config(const util::Flags& flags, std::uint64_t seed) {
     config.session.keepalive = flags.seconds("keepalive");
     config.session.restart_window = flags.seconds("restart-window");
   }
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 

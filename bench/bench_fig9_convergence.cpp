@@ -52,14 +52,7 @@ engine::Config make_config(bool dragon, std::uint64_t seed) {
   // different AS occurs before the de-aggregates are propagated") — so the
   // convergence study runs with it off, exactly like the paper's.
   config.enable_reaggregation = false;
-  // Path-identity attributes: BGP re-announces on AS-PATH content changes.
-  config.unique_link_labels = true;
   config.seed = seed;
-  if (dragon) {
-    config.l_attr = [](algebra::Attr a) {
-      return static_cast<std::uint32_t>(GrPathVectorAlgebra::class_of(a));
-    };
-  }
   return config;
 }
 
@@ -152,6 +145,7 @@ int main(int argc, char** argv) {
 
   const auto scenario = bench::build_scenario(flags);
   const auto& topo = scenario.generated.graph;
+  // Path-identity attributes: BGP re-announces on AS-PATH content changes.
   GrPathVectorAlgebra alg;
   // Forked trial stream: statistically independent of the topology and
   // assignment seeds instead of the old correlated `seed + 31` offset.

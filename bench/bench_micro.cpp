@@ -5,10 +5,10 @@
 // the compiled LPM table and its query generator, and the event engine's
 // end-to-end convergence.
 //
-// Besides the console table, `--metrics-json=PATH` writes every per-run
-// ns/iter figure into a registry-shaped JSON artifact (BENCH_micro.json
-// at the repo root is the committed baseline; tools/bench_gate.py
-// compares a fresh run against it).
+// Besides the table (in --benchmark_format, console by default),
+// `--metrics-json=PATH` writes every per-run ns/iter figure into a
+// registry-shaped JSON artifact (BENCH_micro.json at the repo root is the
+// committed baseline; tools/bench_gate.py compares a fresh run against it).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -373,11 +373,20 @@ void BM_EngineConvergence(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineConvergence);
 
-/// Console reporter that additionally records every per-run ns/iter into
-/// a metrics registry, so the run can be dumped in the repo's standard
-/// registry-JSON shape and gated against the committed baseline.
-class RegistryReporter : public benchmark::ConsoleReporter {
+/// Display reporter that records every per-run ns/iter into a metrics
+/// registry, so the run can be dumped in the repo's standard registry-JSON
+/// shape and gated against the committed baseline, and forwards every call
+/// to the reporter --benchmark_format and --benchmark_color select.
+/// Construct it after benchmark::Initialize has parsed those flags.
+class RegistryReporter : public benchmark::BenchmarkReporter {
  public:
+  RegistryReporter() : display_(benchmark::CreateDefaultDisplayReporter()) {
+    display_->SetOutputStream(&GetOutputStream());
+    display_->SetErrorStream(&GetErrorStream());
+  }
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
@@ -385,13 +394,15 @@ class RegistryReporter : public benchmark::ConsoleReporter {
       registry_.gauge("micro." + run.benchmark_name() + ".ns_per_iter")
           ->set(run.GetAdjustedRealTime());
     }
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+  void Finalize() override { display_->Finalize(); }
   [[nodiscard]] const obs::MetricsRegistry& registry() const {
     return registry_;
   }
 
  private:
+  benchmark::BenchmarkReporter* display_;  // owned by the library
   obs::MetricsRegistry registry_;
 };
 

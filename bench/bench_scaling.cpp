@@ -147,9 +147,6 @@ int main(int argc, char** argv) {
   spec.config.link_delay = 0.01;
   spec.config.enable_dragon = true;
   spec.config.enable_reaggregation = false;
-  spec.config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   spec.origins = origins;
   spec.params.horizon = flags.seconds("horizon");
   spec.params.events = flags.u64("events");

@@ -74,9 +74,6 @@ int main() {
   GrPathAlgebra alg;
   engine::Config config;
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   engine::Simulator sim(topo, alg, config);
 
   const auto customer = GrPathAlgebra::make(algebra::GrClass::kCustomer, 0);

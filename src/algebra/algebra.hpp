@@ -10,7 +10,9 @@
 //
 // Attributes are encoded in 32 bits; the encoding is private to each
 // algebra.  All consumers (the generic solver, DRAGON's code CR, the event
-// engine) treat attributes as opaque ordered values.
+// engine) treat attributes as opaque ordered values.  The algebra also owns
+// the other encodings they need: the L-attribute CR and RA compare, the
+// label of each directed adjacency and the attribute a route leaker forges.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +53,27 @@ class Algebra {
 
   /// All label ids this algebra defines.
   [[nodiscard]] virtual std::vector<LabelId> label_support() const = 0;
+
+  /// The L-attribute of a reachable `attr`: the part that takes
+  /// precedence in election, which DRAGON's code CR and rule RA compare
+  /// (§3.5; the GR class, which BGP sets through LOCAL-PREF).  Smaller is
+  /// preferred.  Defaults to the whole attribute.
+  [[nodiscard]] virtual std::uint32_t l_attr(Attr attr) const { return attr; }
+
+  /// The label of the learning relation learner <- speaker in a network
+  /// built from a topology: `gr` is the GR label of the relation and
+  /// `link_id` numbers the directed adjacency (from 1, unique in the
+  /// network).  Defaults to `gr`.
+  [[nodiscard]] virtual LabelId import_label(std::uint32_t /*learner*/,
+                                             std::uint32_t /*speaker*/,
+                                             LabelId gr,
+                                             std::uint32_t /*link_id*/) const {
+    return gr;
+  }
+
+  /// The attribute a route leaker sends where the export policy drops a
+  /// route.  kUnreachable (the default): the algebra models no leaks.
+  [[nodiscard]] virtual Attr leak_attr() const { return kUnreachable; }
 
   /// Weak preference: prefer(a, b) or a == b.
   [[nodiscard]] bool prefer_eq(Attr a, Attr b) const {

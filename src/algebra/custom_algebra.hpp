@@ -14,7 +14,7 @@
 
 namespace dragon::algebra {
 
-class TableAlgebra final : public Algebra {
+class TableAlgebra : public Algebra {
  public:
   /// `names[i]` names attribute i; lower index = more preferred.
   /// `maps[l][i]` is the result of extending attribute i across label l

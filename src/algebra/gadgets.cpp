@@ -1,5 +1,7 @@
 #include "algebra/gadgets.hpp"
 
+#include <utility>
+
 #include "algebra/property_check.hpp"
 
 namespace dragon::algebra {
@@ -9,6 +11,26 @@ constexpr LabelId kLabelDir = 0;   // origin -> ring node: o becomes "dir"
 constexpr LabelId kLabelVia = 1;   // ring successor -> node: dir becomes "via"
 constexpr LabelId kLabelNull = 2;  // everything else: nothing crosses
 constexpr Attr kX = kUnreachable;
+
+/// The ring's table algebra with its per-edge labels: labels[learner][speaker]
+/// labels the learning relation learner <- speaker.
+class DisputeAlgebra final : public TableAlgebra {
+ public:
+  DisputeAlgebra(std::vector<std::string> names,
+                 std::vector<std::vector<Attr>> maps,
+                 std::vector<std::vector<LabelId>> labels)
+      : TableAlgebra(std::move(names), std::move(maps)),
+        labels_(std::move(labels)) {}
+
+  [[nodiscard]] LabelId import_label(std::uint32_t learner,
+                                     std::uint32_t speaker, LabelId /*gr*/,
+                                     std::uint32_t /*link_id*/) const override {
+    return labels_[learner][speaker];
+  }
+
+ private:
+  std::vector<std::vector<LabelId>> labels_;
+};
 }  // namespace
 
 DisputeGadget make_dispute_ring(std::size_t ring_size, bool dispute) {
@@ -21,33 +43,12 @@ DisputeGadget make_dispute_ring(std::size_t ring_size, bool dispute) {
   g.origin_prefix = prefix::Prefix(0x80000000u, 1);
   g.origin_attr = 0;  // "o"
 
-  // Attribute ranks (lower index preferred).  The dispute variant prefers
-  // the detour: via < dir; the benign variant the direct route: dir < via.
-  // In both, the origin's own seed attribute "o" ranks first so the origin
-  // never abandons its origination.
-  if (dispute) {
-    g.algebra = std::make_shared<TableAlgebra>(
-        std::vector<std::string>{"o", "via", "dir"},
-        std::vector<std::vector<Attr>>{
-            {2, kX, kX},   // L_dir: o -> dir
-            {kX, kX, 1},   // L_via: dir -> via (an *improvement*: dispute)
-            {kX, kX, kX},  // L_null
-        });
-  } else {
-    g.algebra = std::make_shared<TableAlgebra>(
-        std::vector<std::string>{"o", "dir", "via"},
-        std::vector<std::vector<Attr>>{
-            {1, kX, kX},   // L_dir: o -> dir (strictly worse)
-            {kX, 2, kX},   // L_via: dir -> via (strictly worse)
-            {kX, kX, kX},  // L_null
-        });
-  }
-
-  g.labels.assign(n_nodes, std::vector<LabelId>(n_nodes, kLabelNull));
+  std::vector<std::vector<LabelId>> labels(
+      n_nodes, std::vector<LabelId>(n_nodes, kLabelNull));
   for (std::size_t i = 1; i <= ring_size; ++i) {
     const auto u = static_cast<topology::NodeId>(i);
     g.topo.add_provider_customer(g.origin, u);
-    g.labels[u][g.origin] = kLabelDir;
+    labels[u][g.origin] = kLabelDir;
     g.ring.push_back(u);
   }
   for (std::size_t i = 1; i <= ring_size; ++i) {
@@ -56,7 +57,31 @@ DisputeGadget make_dispute_ring(std::size_t ring_size, bool dispute) {
     if (u == succ) break;  // ring of one: no detour edge
     if (!g.topo.linked(u, succ)) g.topo.add_peer_peer(u, succ);
     // u prefers the route *through* its successor: u <- succ imports via.
-    g.labels[u][succ] = kLabelVia;
+    labels[u][succ] = kLabelVia;
+  }
+
+  // Attribute ranks (lower index preferred).  The dispute variant prefers
+  // the detour: via < dir; the benign variant the direct route: dir < via.
+  // In both, the origin's own seed attribute "o" ranks first so the origin
+  // never abandons its origination.
+  if (dispute) {
+    g.algebra = std::make_shared<DisputeAlgebra>(
+        std::vector<std::string>{"o", "via", "dir"},
+        std::vector<std::vector<Attr>>{
+            {2, kX, kX},   // L_dir: o -> dir
+            {kX, kX, 1},   // L_via: dir -> via (an *improvement*: dispute)
+            {kX, kX, kX},  // L_null
+        },
+        std::move(labels));
+  } else {
+    g.algebra = std::make_shared<DisputeAlgebra>(
+        std::vector<std::string>{"o", "dir", "via"},
+        std::vector<std::vector<Attr>>{
+            {1, kX, kX},   // L_dir: o -> dir (strictly worse)
+            {kX, 2, kX},   // L_via: dir -> via (strictly worse)
+            {kX, kX, kX},  // L_null
+        },
+        std::move(labels));
   }
 
   g.criteria_convergent =

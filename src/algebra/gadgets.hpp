@@ -1,7 +1,7 @@
 // Policy-dispute gadgets for the adversarial scenario engine.
 //
 // Griffin's DISAGREE / BAD-GADGET instances expressed as table algebras
-// plus a ring topology with per-edge label overrides: each ring node
+// that also carry a ring topology's per-edge import labels: each ring node
 // prefers the route *through* its clockwise neighbour ("via") over the
 // direct route from the origin ("dir"), which is exactly a preference
 // cycle — the stable-assignment constraint x_i = via <=> x_{i+1} = dir is
@@ -26,10 +26,8 @@ namespace dragon::algebra {
 struct DisputeGadget {
   std::string name;
   topology::Topology topo;
+  /// Also labels each edge of `topo` (Algebra::import_label).
   std::shared_ptr<TableAlgebra> algebra;
-  /// labels[learner][speaker]: import label of the learning relation
-  /// learner <- speaker; wire through engine::Config::label_override.
-  std::vector<std::vector<LabelId>> labels;
   prefix::Prefix origin_prefix;
   topology::NodeId origin = 0;
   Attr origin_attr = 0;
@@ -38,11 +36,6 @@ struct DisputeGadget {
   /// True when the algebra satisfies the strict-increase criteria and the
   /// classifier must therefore report convergence.
   bool criteria_convergent = false;
-
-  [[nodiscard]] LabelId label(topology::NodeId learner,
-                              topology::NodeId speaker) const {
-    return labels[learner][speaker];
-  }
 };
 
 /// Builds a dispute ring of `ring_size` nodes around one origin (node 0).

@@ -40,6 +40,21 @@ std::vector<LabelId> GrPathAlgebra::label_support() const {
           label(GrLabel::kFromProvider)};
 }
 
+Attr GrPathAlgebra::leak_attr() const {
+  // The classic leak presents provider/peer routes as customer routes, so
+  // receivers import them across any relation.  The advertised path
+  // length is pegged at the maximum.  This algebra has no AS-path loop
+  // rejection, so a cycle of leakers re-electing each other's ever-longer
+  // leaked routes counts to infinity (15M+ updates before the length
+  // saturates); starting the leak *at* saturation reaches the same fixed
+  // point — leaked customer routes still win on class precedence wherever
+  // no true customer route exists, but lose every length tie-break —
+  // without the storm.  The stable forwarding loops that leaks can leave
+  // behind are measured damage (blast radius), not an invariant failure;
+  // see chaos/scenario.cpp's run_adversarial.
+  return make(GrClass::kCustomer, kMaxPathLength);
+}
+
 }  // namespace dragon::algebra
 
 namespace dragon::algebra {

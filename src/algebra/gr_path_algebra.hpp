@@ -34,6 +34,10 @@ class GrPathAlgebra final : public Algebra {
   [[nodiscard]] std::string attr_name(Attr a) const override;
   [[nodiscard]] std::vector<Attr> attribute_support() const override;
   [[nodiscard]] std::vector<LabelId> label_support() const override;
+  [[nodiscard]] std::uint32_t l_attr(Attr a) const override {
+    return static_cast<std::uint32_t>(class_of(a));
+  }
+  [[nodiscard]] Attr leak_attr() const override;
 };
 
 }  // namespace dragon::algebra
@@ -53,9 +57,9 @@ namespace dragon::algebra {
 // changes the attribute value and therefore propagates, exactly like a
 // changed AS-PATH.
 //
-// Labels encode (unique link id << 2) | GR label; use
-// GrPathVectorAlgebra::make_label when building networks by hand, or
-// engine::Config::unique_link_labels to have the simulator do it.
+// Labels encode (unique link id << 2) | GR label; import_label builds them
+// from the simulator's link numbering, and make_label builds them when
+// networks are built by hand.
 class GrPathVectorAlgebra final : public Algebra {
  public:
   static constexpr int kLenBits = 7;
@@ -84,6 +88,14 @@ class GrPathVectorAlgebra final : public Algebra {
   [[nodiscard]] std::string attr_name(Attr a) const override;
   [[nodiscard]] std::vector<Attr> attribute_support() const override;
   [[nodiscard]] std::vector<LabelId> label_support() const override;
+  [[nodiscard]] std::uint32_t l_attr(Attr a) const override {
+    return static_cast<std::uint32_t>(class_of(a));
+  }
+  [[nodiscard]] LabelId import_label(std::uint32_t /*learner*/,
+                                     std::uint32_t /*speaker*/, LabelId gr,
+                                     std::uint32_t link_id) const override {
+    return make_label(link_id, static_cast<GrLabel>(gr));
+  }
 };
 
 }  // namespace dragon::algebra

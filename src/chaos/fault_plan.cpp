@@ -388,8 +388,8 @@ FaultPlan generate_plan(const topology::Topology& topo,
 
     if (params.leak_prob > 0.0 && rng.chance(params.leak_prob)) {
       // Route leak: a transit node re-exports provider/peer routes
-      // downhill-to-uphill, violating the GR export rule (schedule_plan
-      // needs Config::leak_mask for the leak to reach the wire).
+      // downhill-to-uphill, violating the GR export rule (the algebra's
+      // leak_attr is what reaches the wire).
       const NodeId u =
           transit.empty()
               ? static_cast<NodeId>(rng.below(topo.node_count()))

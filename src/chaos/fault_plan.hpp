@@ -36,7 +36,7 @@ enum class FaultKind : std::uint8_t {
   kNodeCrash,    // Simulator::crash_node (requires session layer enabled)
   kNodeRestart,  // Simulator::restart_node
   // Adversarial misbehaviour (the scenario engine, src/chaos/scenario.*):
-  kRouteLeakStart,  // Simulator::start_route_leak (needs Config::leak_mask)
+  kRouteLeakStart,  // Simulator::start_route_leak (needs Algebra::leak_attr)
   kRouteLeakStop,
   kHijackAnnounce,  // Simulator::originate_rogue — wrong-origin announcement
   kHijackWithdraw,
@@ -141,8 +141,8 @@ struct PlanParams {
   double crash_prob = 0.0;
   /// Probability that an event starts a route leak at a random transit
   /// node (kRouteLeakStart; stopped again with probability restore_prob).
-  /// Requires Config::leak_mask at schedule time.  Zero draws no
-  /// randomness, like crash_prob.
+  /// Requires an algebra that models leaks (Algebra::leak_attr).  Zero
+  /// draws no randomness, like crash_prob.
   double leak_prob = 0.0;
   /// Probability that an event hijacks a random origination: a node other
   /// than the assigned origin announces a more-specific of the victim's

@@ -37,6 +37,8 @@ namespace {
 
 using Rib = std::map<Prefix, RouteEntry>;
 
+constexpr std::size_t kMaxViolations = 32;
+
 struct Checker {
   const engine::Simulator& sim;
   const InvariantOptions& opts;
@@ -44,7 +46,7 @@ struct Checker {
   std::vector<Rib> rib;
 
   [[nodiscard]] bool full() const {
-    return report.violations.size() >= opts.max_violations;
+    return report.violations.size() >= kMaxViolations;
   }
   void add(const char* check, NodeId node, const Prefix& p,
            std::string detail) {
@@ -383,10 +385,10 @@ InvariantReport check_invariants(const engine::Simulator& sim,
   ck.rib.resize(sim.topology_used().node_count());
   sim.for_each_route(
       [&](NodeId u, const Prefix& p, const RouteEntry& e) { ck.rib[u][p] = e; });
-  if (opts.coherence && !ck.full()) ck.check_coherence();
-  if (opts.cr_audit && !ck.full()) ck.check_cr();
-  if (opts.ra_audit && !ck.full()) ck.check_ra();
-  if (opts.session_audit && !ck.full()) ck.check_session();
+  if (!ck.full()) ck.check_coherence();
+  if (!ck.full()) ck.check_cr();
+  if (!ck.full()) ck.check_ra();
+  if (!ck.full()) ck.check_session();
   if (opts.forwarding && !ck.full()) ck.check_forwarding();
   return std::move(ck.report);
 }

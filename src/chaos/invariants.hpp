@@ -57,19 +57,14 @@ struct Violation {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Only the forwarding walk is optional: coherence, CR, RA and session
+/// checks always run.  A report stops after 32 violations (the state is
+/// broken either way; keep reports readable).
 struct InvariantOptions {
   bool forwarding = true;
-  bool coherence = true;
-  bool cr_audit = true;
-  bool ra_audit = true;
-  /// No-op unless the simulator's session layer is enabled.
-  bool session_audit = true;
   /// Forwarding walks sample at most this many source nodes (stride
   /// sampling over the id space keeps the choice deterministic).
   std::size_t max_sources = static_cast<std::size_t>(-1);
-  /// Stop collecting after this many violations (the state is broken
-  /// either way; keep reports readable).
-  std::size_t max_violations = 32;
 };
 
 struct InvariantReport {

@@ -13,6 +13,8 @@ using Prefix = prefix::Prefix;
 
 namespace {
 
+constexpr std::size_t kMaxMismatches = 16;
+
 /// Externally visible route state at one (node, prefix).  Vestigial
 /// entries (withdrawn routes that left an empty RouteEntry behind)
 /// normalise to the default-constructed value, which is also what a
@@ -77,8 +79,8 @@ OracleResult differential_check(
 
   engine::Config cfg = chaotic.config();
   cfg.faults = {};
-  // Same topology object: label assignment (including unique link labels)
-  // is a function of the topology's adjacency iteration order, so both
+  // Same topology and algebra objects: link labels are a function of the
+  // topology's adjacency iteration order (Algebra::import_label), so both
   // simulators see bit-identical extend() maps.
   engine::Simulator ref(chaotic.topology_used(), chaotic.algebra_used(), cfg);
 
@@ -94,7 +96,7 @@ OracleResult differential_check(
   for (const auto& rec : chaotic.origin_records()) {
     ref.originate(rec.root, rec.origin, rec.attr);
   }
-  const WatchdogResult warm = run_to_quiescence(ref, opts.limits);
+  const WatchdogResult warm = run_to_quiescence(ref);
   if (!warm.quiescent) {
     result.mismatches.push_back(
         "reference full-topology phase did not converge:\n" +
@@ -108,7 +110,7 @@ OracleResult differential_check(
   // routes" — exactly what any chaotic crash history must also reach.
   for (const NodeId n : chaotic.down_nodes()) ref.crash_node(n);
 
-  const WatchdogResult run = run_to_quiescence(ref, opts.limits);
+  const WatchdogResult run = run_to_quiescence(ref);
   result.reference_quiescent = run.quiescent;
   if (!run.quiescent) {
     result.mismatches.push_back("reference run did not converge:\n" +
@@ -123,7 +125,7 @@ OracleResult differential_check(
   auto ia = a.begin();
   auto ib = b.begin();
   while (ia != a.end() || ib != b.end()) {
-    if (result.mismatches.size() >= opts.max_mismatches) break;
+    if (result.mismatches.size() >= kMaxMismatches) break;
     if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
       result.mismatches.push_back(describe(ia->first, ia->second, Cell{}));
       ++ia;

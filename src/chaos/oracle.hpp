@@ -37,10 +37,6 @@ struct OracleOptions {
   /// unique); leave off for algebras where distinct-but-equivalent
   /// encodings can be elected.
   bool strict_attrs = true;
-  /// Budget for converging the reference simulator.
-  WatchdogLimits limits;
-  /// Cap on reported divergences.
-  std::size_t max_mismatches = 16;
 };
 
 struct OracleResult {
@@ -54,7 +50,9 @@ struct OracleResult {
 };
 
 /// Compares `chaotic` (already quiescent, after an arbitrary fault
-/// schedule) against a from-scratch run on the surviving network.
+/// schedule) against a from-scratch run on the surviving network,
+/// converged under the watchdog's default budgets; reports at most 16
+/// divergences.
 /// `watches` re-registers any manual watch_aggregate() roots; automatic
 /// watches from surviving originations are recreated by origination.
 [[nodiscard]] OracleResult differential_check(

@@ -101,24 +101,6 @@ engine::Config make_gr_config(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.enable_dragon = enable_dragon;
   cfg.enable_reaggregation = false;
   cfg.seed = seed;
-  cfg.l_attr = [](Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
-  // Route-leak masquerade: the classic leak presents provider/peer routes
-  // as customer routes, so receivers import them across any relation.
-  // The advertised path length is pegged at the maximum.  A (class,
-  // length) algebra has no AS-path loop rejection, so a cycle of leakers
-  // re-electing each other's ever-longer leaked routes counts to
-  // infinity (15M+ updates before the length saturates); starting the
-  // leak *at* saturation reaches the same fixed point — leaked customer
-  // routes still win on class precedence wherever no true customer route
-  // exists, but lose every length tie-break — without the storm.  The
-  // stable forwarding loops that leaks can leave behind are measured
-  // damage (blast radius), not an invariant failure; see run_adversarial.
-  cfg.leak_mask = [](Attr) {
-    return GrPathAlgebra::make(GrClass::kCustomer,
-                               GrPathAlgebra::kMaxPathLength);
-  };
   return cfg;
 }
 
@@ -179,12 +161,6 @@ void run_divergence(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.enable_dragon = false;
   cfg.enable_reaggregation = false;
   cfg.seed = seed;
-  if (table_variant) {
-    cfg.label_override = [&gadget](NodeId learner, NodeId speaker,
-                                   algebra::LabelId) {
-      return gadget.label(learner, speaker);
-    };
-  }
   engine::Simulator sim(gadget.topo, *alg, std::move(cfg));
   sim.originate(gadget.origin_prefix, gadget.origin,
                 table_variant ? gadget.origin_attr : kOriginAttr);

@@ -13,7 +13,7 @@
 //                                     classified kConverged.
 //   "leak:events=6"                   route leaks — transit nodes re-export
 //                                     provider/peer routes masqueraded as
-//                                     customer routes (Config::leak_mask);
+//                                     customer routes (Algebra::leak_attr);
 //                                     twin runs (DRAGON filtering vs plain
 //                                     BGP) measure the leaker's blast
 //                                     radius at quiescence.

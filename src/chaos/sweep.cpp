@@ -13,6 +13,8 @@ namespace {
 
 using topology::NodeId;
 
+const WatchdogLimits kScheduleLimits{1e6, 50'000'000};
+
 /// One graceful-restart window probe: forwarding walks from stride-sampled
 /// sources to every active origination address, while the crashed node's
 /// plane is frozen and its peers hold the routes as stale.
@@ -69,7 +71,7 @@ ScheduleOutcome run_schedule(const SweepSpec& spec, std::uint64_t seed,
     for (const auto& o : spec.origins) {
       sim.originate(o.prefix, o.origin, o.attr);
     }
-    run = run_to_quiescence(sim, spec.limits, tracer);
+    run = run_to_quiescence(sim, kScheduleLimits, tracer);
   }
   if (!run.quiescent) {
     out.diagnostics = "initial convergence stalled\n" + run.diagnostics;
@@ -112,7 +114,7 @@ ScheduleOutcome run_schedule(const SweepSpec& spec, std::uint64_t seed,
   }
   {
     DRAGON_SPAN_ARG("chaos", "replay", "actions", plan.actions.size());
-    run = run_to_quiescence(sim, spec.limits, tracer);
+    run = run_to_quiescence(sim, kScheduleLimits, tracer);
   }
   out.quiescent = run.quiescent;
   out.end_time = run.end_time;
@@ -127,25 +129,17 @@ ScheduleOutcome run_schedule(const SweepSpec& spec, std::uint64_t seed,
   }
 
   DRAGON_SPAN("chaos", "audit");
-  if (spec.check_invariants) {
-    const auto report = check_invariants(sim, spec.invariants);
-    out.invariants_ok = report.ok();
-    if (!out.invariants_ok) {
-      out.diagnostics = report.to_string();
-      return out;
-    }
-  } else {
-    out.invariants_ok = true;
+  const auto report = check_invariants(sim, spec.invariants);
+  out.invariants_ok = report.ok();
+  if (!out.invariants_ok) {
+    out.diagnostics = report.to_string();
+    return out;
   }
-  if (spec.check_oracle) {
-    const auto oracle = differential_check(sim, {}, spec.oracle);
-    out.oracle_ok = oracle.match;
-    if (!out.oracle_ok) {
-      out.diagnostics = oracle.to_string();
-      return out;
-    }
-  } else {
-    out.oracle_ok = true;
+  const auto oracle = differential_check(sim, {}, spec.oracle);
+  out.oracle_ok = oracle.match;
+  if (!out.oracle_ok) {
+    out.diagnostics = oracle.to_string();
+    return out;
   }
 
   out.metrics.merge_from(sim.metrics());

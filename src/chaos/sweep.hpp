@@ -77,11 +77,8 @@ struct SweepSpec {
   std::vector<OriginSpec> origins;
   /// Plan parameters; `start` is overridden with the converged now().
   PlanParams params;
-  WatchdogLimits limits{1e6, 50'000'000};
   InvariantOptions invariants;
   OracleOptions oracle;
-  bool check_invariants = true;
-  bool check_oracle = true;
   /// For every kNodeCrash action (session layer + graceful restart on),
   /// inject forwarding-walk probes just after the peers' hold timers fire
   /// and at mid restart-window: RFC 4724 retention promises traffic keeps

@@ -12,6 +12,9 @@ namespace {
 
 using topology::NodeId;
 
+constexpr std::size_t kMaxHistory = 1024;  // the transient start falls off
+constexpr std::size_t kMinCycles = 3;
+
 /// One splitmix64-style mixing step; order-sensitive, which is fine — the
 /// per-node route iteration order is stable within a run (FlatTable is
 /// append-only), and digests are only ever compared between samples of
@@ -55,19 +58,17 @@ std::uint64_t global_digest(const std::vector<std::uint64_t>& nodes) {
 
 /// Smallest period p whose trailing window of comparisons all satisfy
 /// h[j] == h[j-p]; 0 when no period fits the history.  The window spans
-/// at least min_cycles-1 full cycles AND at least kMinPeriodWindow
-/// comparisons: a small p checked over (min_cycles-1)*p samples alone
+/// at least kMinCycles-1 full cycles AND at least kMinPeriodWindow
+/// comparisons: a small p checked over (kMinCycles-1)*p samples alone
 /// would accept coincidental short repeats inside a longer true cycle
 /// (the RIB projection of the full protocol state revisits digests
 /// within one oscillation).
-std::size_t detect_period(const std::vector<Sample>& hist,
-                          std::size_t min_cycles) {
+std::size_t detect_period(const std::vector<Sample>& hist) {
   constexpr std::size_t kMinPeriodWindow = 32;
   const std::size_t len = hist.size();
-  if (min_cycles < 2) min_cycles = 2;
-  for (std::size_t p = 1; min_cycles * p <= len; ++p) {
+  for (std::size_t p = 1; kMinCycles * p <= len; ++p) {
     const std::size_t window =
-        std::min(len - p, std::max((min_cycles - 1) * p, kMinPeriodWindow));
+        std::min(len - p, std::max((kMinCycles - 1) * p, kMinPeriodWindow));
     bool ok = true;
     for (std::size_t j = len - window; j < len; ++j) {
       if (hist[j].digest != hist[j - p].digest) {
@@ -208,7 +209,7 @@ WatchdogResult run_to_quiescence(engine::Simulator& sim,
       }
       prev = std::move(cur);
       history.push_back(std::move(s));
-      if (history.size() > limits.max_history) history.erase(history.begin());
+      if (history.size() > kMaxHistory) history.erase(history.begin());
       ++result.samples;
     }
     // Budget exhaustion: the event budget is spent, or the run stopped
@@ -223,7 +224,7 @@ WatchdogResult run_to_quiescence(engine::Simulator& sim,
     return result;
   }
 
-  const std::size_t period = detect_period(history, limits.min_cycles);
+  const std::size_t period = detect_period(history);
   std::set<NodeId> members;
   if (period > 0) {
     for (std::size_t j = history.size() - period; j < history.size(); ++j) {

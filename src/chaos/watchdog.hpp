@@ -13,8 +13,8 @@
 //
 // With WatchdogLimits::classify on, the run is additionally sliced into
 // event batches and a per-node digest of the whole RIB state is sampled
-// after each batch.  When a budget trips, the digest history is scanned
-// for the smallest period that repeats over `min_cycles` full cycles:
+// after each batch.  When a budget trips, the last 1024 samples are
+// scanned for the smallest period that repeats over three full cycles:
 //   kConverged   — the queue drained (always reported when quiescent);
 //   kOscillating — the global state digest is periodic; the result
 //                  carries the period (in samples) and the set of nodes
@@ -58,10 +58,6 @@ struct WatchdogLimits {
   /// pairs), hence the odd-prime default.
   bool classify = false;
   std::size_t sample_every_events = 251;
-  /// Digest samples kept (ring buffer; the transient start falls off).
-  std::size_t max_history = 1024;
-  /// Full cycles the periodic signature must span before it counts.
-  std::size_t min_cycles = 3;
 };
 
 struct WatchdogResult {

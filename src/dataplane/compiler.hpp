@@ -29,10 +29,8 @@ enum class SnapshotKind {
 /// One pass over the whole RIB: the FIBs of every node at once (indexed
 /// by node id), e.g. to pick the busiest nodes to serve.  Entry order
 /// follows the simulator's sorted per-node route iteration; next hops are
-/// kLocal for active originations, the lowest-id rib_in neighbour whose
-/// candidate equals the elected attribute over an alive link otherwise,
-/// kDrop when no such neighbour exists — the Simulator::trace()
-/// forwarding rule.
+/// kLocal for active originations, Simulator::forwarding_neighbor
+/// otherwise, kDrop when that finds none — the Simulator::trace() rule.
 [[nodiscard]] std::vector<fibcomp::Fib> fibs_from_simulator(
     const engine::Simulator& sim, SnapshotKind kind);
 

@@ -218,7 +218,11 @@ void Simulator::dragon_check_ra(OriginationRecord& rec) {
       node.route(root_id).origin_paused = true;
       reelect_and_react(rec.origin, root_id);
     }
-    for (const Prefix& f : rec.fragments) {
+    // reelect_and_react re-enters rule RA on this record.  A nested pass
+    // that replaces rec.fragments has originated its own tiling, so stop.
+    const std::vector<Prefix> tiling = rec.fragments;
+    for (const Prefix& f : tiling) {
+      if (rec.fragments != tiling) break;
       const PrefixId fid = interner_.intern(f);
       RouteEntry& fe = node.route(fid);
       if (fe.originated && fe.origin_attr == rec.attr) continue;

@@ -74,7 +74,8 @@ Simulator::Simulator(const topology::Topology& topo,
       node_gen_(topo.node_count(), 0),
       sess_epoch_(topo.node_count()),
       node_class_(topo.node_count()) {
-  std::uint32_t link_counter = 1;
+  // Directed adjacencies are numbered from 1 in node, then neighbour order.
+  std::uint32_t link_id = 1;
   for (NodeId u = 0; u < topo.node_count(); ++u) {
     const auto nbrs = topo.neighbors(u);
     nodes_[u].io.resize(nbrs.size());
@@ -82,14 +83,8 @@ Simulator::Simulator(const topology::Topology& topo,
     nbr_index_[u].reserve(nbrs.size());
     std::uint32_t slot = 0;
     for (const auto& nb : nbrs) {
-      algebra::LabelId label = topology::gr_label(nb.rel);
-      if (config_.unique_link_labels) {
-        label |= link_counter++ << 2;
-      }
-      if (config_.label_override) {
-        label = config_.label_override(u, nb.id, label);
-      }
-      labels_[u].push_back(label);
+      labels_[u].push_back(alg_.import_label(
+          u, nb.id, topology::gr_label(nb.rel), link_id++));
       nbr_index_[u].emplace_back(nb.id, slot++);
     }
     std::sort(nbr_index_[u].begin(), nbr_index_[u].end());
@@ -140,8 +135,7 @@ const NeighborIo* Simulator::io_find(NodeId u, NodeId v) const {
 }
 
 std::uint32_t Simulator::project(Attr a) const {
-  if (a == kUnreachable) return kUnreachable;
-  return config_.l_attr ? config_.l_attr(a) : a;
+  return a == kUnreachable ? kUnreachable : alg_.l_attr(a);
 }
 
 void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
@@ -308,10 +302,10 @@ void Simulator::watch_aggregate(const Prefix& root, Attr attr) {
 }
 
 void Simulator::start_route_leak(NodeId n) {
-  if (n >= topo_.node_count() || !config_.leak_mask) {
+  const bool leaks = alg_.leak_attr() != kUnreachable;
+  if (n >= topo_.node_count() || !leaks) {
     DRAGON_LOG_WARN("start_route_leak(%u): %s; ignored", n,
-                    config_.leak_mask ? "no such node"
-                                      : "Config::leak_mask is unset");
+                    leaks ? "no such node" : "the algebra models no leaks");
     return;
   }
   if (!leakers_.insert(n).second) return;
@@ -557,7 +551,6 @@ Simulator::TraceResult Simulator::trace(NodeId from,
     const NodeState& node = nodes_[u];
     const RouteEntry* best_entry = nullptr;
     int best_len = -1;
-    Attr best_attr = kUnreachable;
     node.routes.for_each_sorted(
         interner_, [&](PrefixId id, const RouteEntry& e) {
           if (e.elected == kUnreachable || e.filtered) return;
@@ -565,7 +558,6 @@ Simulator::TraceResult Simulator::trace(NodeId from,
           if (!p.contains(dst)) return;
           if (p.length() > best_len) {
             best_len = p.length();
-            best_attr = e.elected;
             best_entry = &e;
           }
         });
@@ -577,29 +569,27 @@ Simulator::TraceResult Simulator::trace(NodeId from,
       result.outcome = Outcome::kDelivered;
       return result;
     }
-    // Deterministic forwarding neighbour: lowest id whose candidate equals
-    // the elected attribute.
-    NodeId next = 0;
-    bool found = false;
-    for (const auto& [v, attr] : best_entry->rib_in) {
-      if (attr == best_attr && link_alive(u, v)) {
-        next = v;
-        found = true;
-        break;  // rib_in is sorted by neighbour id: lowest first
-      }
-    }
-    if (!found) {
+    const std::optional<NodeId> next = forwarding_neighbor(u, *best_entry);
+    if (!next) {
       result.outcome = Outcome::kBlackHole;
       return result;
     }
-    if (!visited.insert(next).second) {
-      result.path.push_back(next);
+    result.path.push_back(*next);
+    if (!visited.insert(*next).second) {
       result.outcome = Outcome::kLoop;
       return result;
     }
-    result.path.push_back(next);
-    u = next;
+    u = *next;
   }
+}
+
+std::optional<NodeId> Simulator::forwarding_neighbor(
+    NodeId u, const RouteEntry& e) const {
+  for (const auto& [v, attr] : e.rib_in) {
+    // rib_in is sorted by neighbour id: the first match is the lowest.
+    if (attr == e.elected && link_alive(u, v)) return v;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::pair<topology::NodeId, topology::NodeId>>
@@ -964,11 +954,8 @@ void Simulator::flush_now(NodeId u, std::uint32_t slot) {
         alg_.extend(export_label, entry->elected) == kUnreachable) {
       // Export policy drops it; nothing on the wire — unless u is leaking
       // (chaos scenario engine), in which case the route goes out anyway
-      // with the masqueraded attribute the receiver's import accepts.
-      wire_attr = kUnreachable;
-      if (config_.leak_mask && leakers_.contains(u)) {
-        wire_attr = config_.leak_mask(entry->elected);
-      }
+      // with the algebra's forged leak attribute.
+      wire_attr = leakers_.contains(u) ? alg_.leak_attr() : kUnreachable;
       exporting = wire_attr != kUnreachable;
     }
     const Attr* sent_attr = nio.sent.find(p);

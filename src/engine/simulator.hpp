@@ -17,10 +17,12 @@
 //     of prefixes tiling a watched root originates the root, and pauses
 //     when it learns an equally-preferred route for it (Figs. 5-6, §3.7).
 //
-// CR and RA compare *L-attributes*: the Config's l_attr projection maps an
+// CR and RA compare *L-attributes*: the algebra's l_attr projection maps an
 // attribute to the value that takes precedence in election (the GR class
 // when running GrPathAlgebra), implementing the paper's X = infinity
 // evaluation setting where AS-path lengths do not block filtering (§3.5).
+// The algebra also labels every directed adjacency (import_label) and
+// supplies the attribute route leakers forge (leak_attr).
 #pragma once
 
 #include <array>
@@ -112,33 +114,15 @@ struct Config {
   bool enable_dragon = false;
   /// §3.8 self-organising (re-)origination of watched aggregation roots.
   bool enable_reaggregation = true;
-  /// Give every directed link a unique label id (link_id << 2 | GR label)
-  /// for path-identity algebras such as GrPathVectorAlgebra, which model
-  /// BGP's AS-PATH content changes (path exploration).  Plain GR-family
-  /// algebras only read the low two bits, so this is compatible with them.
-  bool unique_link_labels = false;
-  /// Per-edge import-label override (adversarial dispute gadgets, see
-  /// algebra/gadgets.hpp): called once per directed adjacency at
-  /// construction with the GR-derived label (after any unique_link_labels
-  /// encoding); the returned label is used instead.  Unset: identity.
-  std::function<algebra::LabelId(topology::NodeId learner,
-                                 topology::NodeId speaker,
-                                 algebra::LabelId gr)>
-      label_override;
-  /// Route-leak masquerade (chaos scenario engine): when a node marked
-  /// with start_route_leak() hits an export the algebra's policy would
-  /// drop, the elected attribute is rewritten through this hook and sent
-  /// anyway — the wire carries attributes, so the receiver cannot tell
-  /// the class was forged.  Returning kUnreachable still drops the
-  /// export.  Unset: start_route_leak is a warned no-op.
-  std::function<algebra::Attr(algebra::Attr)> leak_mask;
   /// Route-flap damping on the receive path (disabled by default; no
   /// behaviour or RNG change while disabled).
   DampingConfig damping;
-  /// L-attribute projection used by CR/RA (smaller = preferred).  Defaults
-  /// to the identity (whole-attribute comparison).
-  std::function<std::uint32_t(algebra::Attr)> l_attr;
   std::uint64_t seed = 7;
+  /// Unread: the algebra owns link labels (Algebra::import_label) and the
+  /// L-attribute projection (Algebra::l_attr).  Both fields remain only
+  /// because pipebench/pipebench.cpp assigns them.
+  bool unique_link_labels = false;
+  std::function<std::uint32_t(algebra::Attr)> l_attr;
 };
 
 class Simulator {
@@ -168,9 +152,11 @@ class Simulator {
   // --- Adversarial misbehaviour (chaos scenario engine, src/chaos/) --------
 
   /// Marks n as a route leaker: exports the algebra's export policy would
-  /// drop are sent anyway with Config::leak_mask applied.  Triggers a full
-  /// export re-evaluation towards every neighbour.  Warned no-op without
-  /// the leak_mask hook or for an invalid node; idempotent.
+  /// drop are sent anyway, carrying the algebra's leak_attr() — the wire
+  /// carries attributes, so the receiver cannot tell the class was forged.
+  /// Triggers a full export re-evaluation towards every neighbour.  Warned
+  /// no-op when the algebra models no leaks or for an invalid node;
+  /// idempotent.
   void start_route_leak(NodeId n);
   void stop_route_leak(NodeId n);
 
@@ -273,7 +259,7 @@ class Simulator {
     return topo_;
   }
   [[nodiscard]] const algebra::Algebra& algebra_used() const { return alg_; }
-  /// The CR/RA L-attribute projection (Config::l_attr or identity).
+  /// The CR/RA L-attribute projection (the algebra's l_attr).
   [[nodiscard]] std::uint32_t project_attr(Attr a) const { return project(a); }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
@@ -312,9 +298,16 @@ class Simulator {
     std::vector<NodeId> path;
   };
   /// Forwards a packet for `dst` hop by hop through the current FIBs
-  /// (deterministic lowest-id choice among equal next hops) until it
-  /// reaches a node originating the matched prefix.
+  /// (forwarding_neighbor at each hop) until it reaches a node originating
+  /// the matched prefix.
   [[nodiscard]] TraceResult trace(NodeId from, prefix::Address dst) const;
+
+  /// The forwarding neighbour of u's route entry `e`: the lowest-id
+  /// Adj-RIB-In neighbour whose candidate equals the elected attribute
+  /// over an alive link; nullopt when there is none.  trace() and the data
+  /// plane's FIB snapshots (dataplane::fibs_from_simulator) share it.
+  [[nodiscard]] std::optional<NodeId> forwarding_neighbor(
+      NodeId u, const RouteEntry& e) const;
 
   /// Links currently carrying at least one prefix's traffic: undirected
   /// pairs (u, v) where v is a forwarding neighbour of u for some prefix

@@ -45,9 +45,6 @@ Config bgp_config() {
 Config dragon_config() {
   Config config = bgp_config();
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 
@@ -752,11 +749,6 @@ TEST(ChaosSmoke, ReorderedUpdatesHitTheSequenceGuard) {
   Config config = bgp_config();
   config.enable_dragon = true;
   config.enable_reaggregation = false;  // the §5.3 setting at this scale
-  config.unique_link_labels = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(
-        algebra::GrPathVectorAlgebra::class_of(a));
-  };
   config.faults.delay_prob = 0.3;
   config.faults.extra_delay = 2.0;
   ASSERT_GT(config.faults.extra_delay, config.mrai);

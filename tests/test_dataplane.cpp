@@ -57,9 +57,6 @@ engine::Config dragon_config() {
   config.mrai = 0.5;
   config.link_delay = 0.01;
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 

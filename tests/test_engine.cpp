@@ -92,9 +92,6 @@ Config bgp_config() {
 Config dragon_config() {
   Config config = bgp_config();
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 
@@ -586,6 +583,72 @@ TEST(DragonEngine, ReactionOrderPinnedWithReaggregation) {
   hash.converge(sim, tracer);
   EXPECT_GT(obs::count(sim.metrics(), EventKind::kRaViolation), 0u);
   EXPECT_EQ(hash.h, 0x23650dea42308a0full);
+}
+
+TEST(DragonEngine, SelfOrganisedOriginationLivelockPinned) {
+  // EXPERIMENTS.md deviation 4: §3.7 self-organised origination can keep
+  // a network from ever quiescing.  ReactionOrderPinnedWithReaggregation's
+  // procedure at generator seed 11 and assignment seed 12 converges
+  // through bring-up and every edit, but its failure trial, of the link
+  // 13-233 its rule picks, never quiesces (past 300k events) and the
+  // classifier finds no period.  This pins the trial's first 50k events,
+  // so a change to §3.7 that moves them must update the numbers on
+  // purpose.  The trial also re-enters rule RA on a record whose
+  // fragments an outer RA pass is walking (engine_smoke runs it under
+  // ASan).
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 4;
+  tparams.transit_count = 40;
+  tparams.stub_count = 200;
+  tparams.seed = 11;
+  const auto gen = topology::generate_internet(tparams);
+  addressing::AssignmentParams aparams;
+  aparams.seed = 12;
+  const auto asg = addressing::clean_assignment(
+      gen.graph, addressing::generate_assignment(gen, aparams));
+  const prefix::PrefixForest forest(asg.prefixes);
+  std::vector<std::size_t> chosen;
+  for (const std::int32_t r : forest.non_trivial_roots()) {
+    const auto members = forest.tree_members(r);
+    if (members.size() < 3 || members.size() > 12) continue;
+    chosen.insert(chosen.end(), members.begin(), members.end());
+    if (chosen.size() >= 60) break;
+  }
+  const std::size_t moved = chosen.front();
+
+  GrPathAlgebra alg;
+  Simulator sim(gen.graph, alg, dragon_config());
+  const auto converge = [&sim] {
+    const auto r = chaos::run_to_quiescence(sim, {1e7, 300'000});
+    EXPECT_TRUE(r.quiescent) << r.diagnostics;
+    return r.events;
+  };
+  for (const std::size_t i : chosen) {
+    sim.originate(asg.prefixes[i], asg.origin[i], kOriginAttr);
+  }
+  EXPECT_EQ(converge(), 10'962u);
+  const auto snap = sim.snapshot();
+  sim.withdraw_origin(asg.prefixes[moved], asg.origin[moved]);
+  EXPECT_EQ(converge(), 6'002u);
+  sim.originate(asg.prefixes[moved], asg.origin[moved], kOriginAttr);
+  EXPECT_EQ(converge(), 5'066u);
+  sim.watch_aggregate(asg.prefixes[moved].trie_parent(), kOriginAttr);
+  converge();
+
+  sim.restore(snap);
+  sim.reset_stats();
+  sim.fail_link(13, 233);
+  chaos::WatchdogLimits limits{1e7, 50'000};
+  limits.classify = true;
+  const auto trial = chaos::run_to_quiescence(sim, limits);
+  EXPECT_FALSE(trial.quiescent);
+  EXPECT_EQ(trial.classification, chaos::Quiescence::kLivelock);
+  EXPECT_EQ(trial.period, 0u);
+  const auto& m = sim.metrics();
+  EXPECT_EQ(obs::count(m, EventKind::kRaViolation), 1'279u);
+  EXPECT_EQ(obs::count(m, EventKind::kDeaggregate), 19u);
+  EXPECT_EQ(obs::count(m, EventKind::kReaggregate), 18u);
+  EXPECT_EQ(obs::count(m, EventKind::kAggOriginate), 97u);
 }
 
 // ---------------------------------------------------------------------------

@@ -369,9 +369,6 @@ TEST(ExecSmoke, ChaosSweepMatchesSequentialAcrossThreadCounts) {
   spec.config.mrai = 0.5;
   spec.config.link_delay = 0.01;
   spec.config.enable_dragon = true;
-  spec.config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   spec.config.faults.loss = 0.1;
   spec.config.faults.duplicate = 0.05;
   spec.config.faults.delay_prob = 0.2;

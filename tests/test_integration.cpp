@@ -45,9 +45,6 @@ engine::Config dragon_config() {
   engine::Config config;
   config.mrai = 0.3;
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 

@@ -370,9 +370,6 @@ Config dragon_config() {
   config.mrai = 0.5;
   config.link_delay = 0.01;
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   return config;
 }
 
@@ -588,10 +585,6 @@ TEST(RibIntern, RestoreDirtyMatchesWholeCopy) {
     config.damping.enabled = true;
     config.damping.suppress = 2.0;
     config.damping.half_life = 4.0;
-    config.leak_mask = [](algebra::Attr) {
-      return GrPathAlgebra::make(GrClass::kCustomer,
-                                 GrPathAlgebra::kMaxPathLength);
-    };
     if (variant.session) {
       config.session.enabled = true;
       config.session.graceful_restart = variant.graceful_restart;

@@ -186,9 +186,6 @@ TEST(ScenarioSmoke, HandBuiltHijackBlastRadiusExactCounts) {
     cfg.link_delay = 0.01;
     cfg.enable_dragon = dragon;
     cfg.enable_reaggregation = false;
-    cfg.l_attr = [](algebra::Attr a) {
-      return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-    };
     engine::Simulator sim(topo, alg, std::move(cfg));
     sim.originate(victim, 3, attr);
     sim.originate_rogue(rogue, 4, attr);

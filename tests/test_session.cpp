@@ -50,9 +50,6 @@ Config session_config(bool graceful_restart) {
   config.mrai = 0.5;
   config.link_delay = 0.01;
   config.enable_dragon = true;
-  config.l_attr = [](algebra::Attr a) {
-    return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-  };
   config.session.enabled = true;
   config.session.graceful_restart = graceful_restart;
   config.session.hold_time = 3.0;
@@ -353,9 +350,6 @@ TEST(SessionSmoke, DisabledSessionLayerIsBitIdenticalToSeedEngine) {
     config.mrai = 0.5;
     config.link_delay = 0.01;
     config.enable_dragon = true;
-    config.l_attr = [](algebra::Attr a) {
-      return static_cast<std::uint32_t>(GrPathAlgebra::class_of(a));
-    };
     config.faults.loss = 0.2;
     config.faults.duplicate = 0.15;
     config.seed = 11;
